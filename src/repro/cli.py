@@ -40,10 +40,11 @@ invocation executes can be exported with ``spec`` and replayed with
 ``simulate``/``run``/``sweep`` accept ``--fast {auto,codegen,on,off}``
 to pin the engine path: ``on`` requires the compiled kernel, ``off``
 forces the legacy per-step loop, ``codegen`` prefers the fused
-compiled tier (the kernel plan emitted as one flat step function,
-cached on ``(spec_hash, dt, code_version)`` — see ``docs/codegen.md``),
+compiled tier (one flat step function for the single-supercapacitor /
+P&O shape — see ``docs/codegen.md``; other systems run the kernel),
 and ``auto`` picks. All paths are bit-for-bit identical; output
-summaries report which one actually ran.
+summaries report which one actually ran and, under ``codegen``, why
+the fused tier refused.
 
 Examples::
 
@@ -145,9 +146,11 @@ def _build_parser() -> argparse.ArgumentParser:
             "--fast", choices=sorted(FAST_MODES), default=None,
             help="engine path: 'on' requires the compiled kernel, 'off' "
                  "forces the legacy per-step loop, 'codegen' prefers the "
-                 "fused compiled tier (cached on spec hash), 'auto' "
-                 "picks. When the flag is omitted, the spec's own setting "
-                 "applies ('auto' unless a config file says otherwise); "
+                 "fused compiled tier (single-supercapacitor P&O "
+                 "platforms; others run the kernel and the summary says "
+                 "why), 'auto' picks. When the flag is omitted, the "
+                 "spec's own setting applies ('auto' unless a config "
+                 "file says otherwise); "
                  "the path actually taken is reported in the summary")
 
     def add_catalog_flag(subparser):
@@ -488,11 +491,14 @@ def _print_catalog_report(report) -> None:
         print(report)
 
 
-def _print_metrics(title: str, metrics, execution_path=None) -> None:
+def _print_metrics(title: str, metrics, execution_path=None,
+                   codegen_fallback=None) -> None:
     m = metrics
     print(title)
     if execution_path is not None:
         print(f"  execution path        {execution_path}")
+    if codegen_fallback is not None:
+        print(f"  codegen fallback      {codegen_fallback}")
     print(f"  uptime                {m.uptime_fraction * 100:.2f} %")
     print(f"  harvested (raw)       {m.harvested_raw_j:.1f} J")
     print(f"  harvested (to bus)    {m.harvested_delivered_j:.1f} J")
@@ -512,7 +518,8 @@ def _cmd_simulate(args) -> int:
     _print_metrics(
         f"{SYSTEM_NAMES[args.system]} on {args.env}, "
         f"{args.days:g} days (seed {args.seed})", result.metrics,
-        execution_path=result.execution_path)
+        execution_path=result.execution_path,
+        codegen_fallback=result.codegen_fallback)
     return 0
 
 
@@ -552,10 +559,15 @@ def _cmd_run(args) -> int:
                     [scenario])
                 row = sweep[0]
                 metrics, path = row.metrics, row.execution_path
+                fallback = row.extras.get("codegen_fallback_reason")
+                if isinstance(fallback, dict):  # restored from the store
+                    from .simulation.kernel import CapabilityReport
+                    fallback = CapabilityReport(**fallback)
                 report = sweep.catalog_report
             else:
                 result = run(spec, fast=_cli_fast(args))
                 metrics, path = result.metrics, result.execution_path
+                fallback = result.codegen_fallback
                 report = None
         except (KeyError, ValueError, TypeError) as exc:
             print(f"error: cannot execute {args.config}: {exc}",
@@ -563,13 +575,15 @@ def _cmd_run(args) -> int:
             return 2
         if args.json:
             payload = {"name": spec.label, "metrics": metrics,
-                       "execution_path": path}
+                       "execution_path": path,
+                       "codegen_fallback": None if fallback is None
+                       else fallback.as_dict()}
             if report is not None:
                 payload["catalog"] = report.to_dict()
             print(dumps_json(payload))
         else:
             _print_metrics(f"run: {spec.label}", metrics,
-                           execution_path=path)
+                           execution_path=path, codegen_fallback=fallback)
             _print_catalog_report(report)
         return 0
     if isinstance(spec, SweepSpec):
@@ -689,9 +703,9 @@ def _explain_batch(sweep) -> str:
     """Capability-report table for rows that missed a compiled tier.
 
     Renders both kinds of refusal side by side: rows that fell out of
-    the lockstep batched tier (``batch_fallback_reason``) and fallback
-    lanes that could not compile on the fused codegen tier either
-    (``codegen_fallback_reason``).
+    the lockstep batched tier (``batch_fallback_reason``) and, under
+    ``--fast codegen``, fallback lanes that missed the fused codegen
+    tier (``codegen_fallback_reason``).
     """
     from .analysis.reporting import render_table
     body = []

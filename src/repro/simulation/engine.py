@@ -29,13 +29,14 @@ Two execution paths produce bit-for-bit identical results:
   ``fast=True``, which raises instead of quietly degrading.
 
 A third tier, ``fast="codegen"``, compiles the *same* kernel plan one
-step further: :mod:`repro.simulation.kernel.codegen` emits the fused
-step-function source for the whole system and caches the compiled
-artifact on ``(spec_hash, dt, code_version)``, eliminating per-component
-closure dispatch entirely. It shares the kernel's eligibility envelope
-and numerics contract, so its recorded columns are bit-for-bit identical
-to both other paths; an ineligible system degrades to legacy and the
-refusal is reported on :attr:`SimulationResult.codegen_fallback`.
+step further for one platform shape: :mod:`repro.simulation.kernel.codegen`
+emits the fused step-function source for a single-supercapacitor / P&O /
+buck-boost system and caches the compiled function in-process,
+eliminating per-component closure dispatch entirely. It honours the
+kernel's numerics contract, so its recorded columns are bit-for-bit
+identical to both other paths. Any other shape runs the scalar kernel
+(or legacy, outside the kernel envelope) and the refusal is reported on
+:attr:`SimulationResult.codegen_fallback`.
 """
 
 from __future__ import annotations
@@ -64,12 +65,13 @@ class SimulationResult:
         self.metrics = metrics
         #: Which engine path actually ran: ``"kernel"``, ``"legacy"``,
         #: ``"kernel+legacy"`` (a mid-run event forced a fallback), or —
-        #: under ``fast="codegen"`` — ``"codegen"`` /
+        #: under ``fast="codegen"`` on the fused shape — ``"codegen"`` /
         #: ``"codegen+kernel"`` / ``"codegen+kernel+legacy"``.
         self.execution_path = execution_path
         #: Under ``fast="codegen"``, the :class:`~repro.simulation.
-        #: kernel.protocol.CapabilityReport` explaining why the system
-        #: could not compile at all (``None`` when codegen ran).
+        #: kernel.protocol.CapabilityReport` naming the first component
+        #: outside the fused envelope (or outside the kernel, when the
+        #: run fell to legacy); ``None`` when codegen ran.
         self.codegen_fallback = codegen_fallback
 
     def __repr__(self) -> str:
@@ -104,12 +106,12 @@ class Simulator:
         raises :exc:`~repro.simulation.kernel.KernelFallback` instead of
         silently degrading. ``False`` forces the legacy path.
         ``"codegen"`` prefers the fused compiled tier
-        (:mod:`repro.simulation.kernel.codegen`): the kernel plan is
-        emitted as one flat step function, compiled once, and cached on
-        ``(spec_hash, dt, code_version)``; an ineligible system degrades
-        to legacy with the refusal reported on
-        :attr:`SimulationResult.codegen_fallback`, and a mid-run event
-        hands off to the scalar kernel (``"codegen+kernel"``). All
+        (:mod:`repro.simulation.kernel.codegen`): on the fused platform
+        shape the kernel plan is emitted as one flat step function and
+        compiled once per process, and a mid-run event hands off to the
+        scalar kernel (``"codegen+kernel"``); any other system runs as
+        under ``"auto"`` with the refusal reported on
+        :attr:`SimulationResult.codegen_fallback`. All
         paths produce bit-for-bit identical recorded columns; the path
         that actually ran is reported as :attr:`SimulationResult.
         execution_path` / :attr:`last_execution_path`.
@@ -190,23 +192,25 @@ class Simulator:
             compiled = CompiledEnvironment(
                 self.environment, t0, n_steps, dt,
                 step_offset=self._steps_done)
+            runner = None
             if self.fast == "codegen":
+                try:
+                    runner = prepare_codegen(plan, compiled)
+                except LoweringUnsupported as exc:
+                    codegen_fallback = exc.capability_report()
+            if runner is not None:
                 # Fused tier first; an event boundary hands the
                 # remainder of the segment to the scalar kernel, which
                 # fires the event and carries on (or peels to legacy).
-                runner = prepare_codegen(plan, compiled)
                 i = runner(self.events, recorder, n_steps)
-                if i == n_steps:
-                    path = "codegen"
-                else:
-                    i = run_plan(plan, compiled, self.events, recorder,
-                                 n_steps, dt, start=i)
-                    path = "codegen+kernel" if i == n_steps \
-                        else "codegen+kernel+legacy"
+            if i == n_steps:
+                path = "codegen"
             else:
                 i = run_plan(plan, compiled, self.events, recorder,
-                             n_steps, dt, strict=self.fast is True)
+                             n_steps, dt, strict=self.fast is True, start=i)
                 path = "kernel" if i == n_steps else "kernel+legacy"
+                if runner is not None:
+                    path = "codegen+" + path
         # Legacy per-step path — also the landing strip when an event
         # pushed the system outside the kernel's envelope mid-run.
         environment, events = self.environment, self.events

@@ -12,9 +12,8 @@ add a lowering to a new component type.
 
 Two further targets build on the same lowerings: :mod:`.batched` steps
 same-topology scenario grids in lockstep as numpy state vectors, and
-:mod:`.codegen` fuses a single plan into one flat compiled step
-function cached on ``(spec_hash, dt, code_version)`` (see
-``docs/codegen.md``).
+:mod:`.codegen` fuses a single-supercapacitor / P&O plan into one flat
+compiled step function (see ``docs/codegen.md``).
 
 Only :mod:`.protocol` is imported eagerly (it has no repro dependencies,
 so component modules can import it without cycles); the plan layer loads
@@ -38,9 +37,7 @@ __all__ = [
     "run_batched",
     "prepare_codegen",
     "codegen_stats",
-    "reset_codegen_stats",
     "clear_codegen_cache",
-    "codegen_cache_identity",
 ]
 
 _PLAN_EXPORTS = ("KernelPlan", "eligible", "why_ineligible", "run_plan")
@@ -48,8 +45,7 @@ _BATCHED_EXPORTS = ("BatchedPlan", "batch_capability_report",
                     "batch_eligible", "why_batch_ineligible",
                     "run_batched", "group_signature")
 _CODEGEN_EXPORTS = ("prepare_codegen", "codegen_stats",
-                    "reset_codegen_stats", "clear_codegen_cache",
-                    "codegen_cache_identity")
+                    "clear_codegen_cache")
 
 
 def __getattr__(name: str):

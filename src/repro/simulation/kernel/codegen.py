@@ -1,107 +1,65 @@
 """Codegen tier: fuse a kernel plan into one compiled step function.
 
 Third lowering target beside the scalar kernel (:mod:`.plan`) and the
-batched tier (:mod:`.batched`). The scalar kernel already hoists every
-run constant into per-component closures; this module walks the same
-lowering and *emits source* for the whole system — bank, channels,
-output stage and node inlined into one flat loop body with the hoisted
-constants baked in as literals — then compiles it once and caches the
-artifact, keyed on ``(spec_hash, dt, code_version)``.
+batched tier (:mod:`.batched`). For one platform shape — a single
+:class:`~repro.storage.Supercapacitor` behind a plain bank, buck-boost
+output, P&O + buck-boost channels over library harvesters, a plain node
+and at most a zero-wakeup :class:`~repro.core.manager.StaticManager` —
+this module emits the whole step as straight-line Python over plain
+float locals: the supercapacitor three-branch physics, the buck-boost
+knee/fixed-point, the P&O hill climb and the node brown-out state
+machine, with the hoisted run constants baked in as literals (no
+attribute access, no call dispatch in the hot loop). Only the leaf
+harvester physics (``open_circuit_voltage`` / ``power_at`` /
+``max_power``) remains as bound-method calls, behind pure single-slot
+memos keyed on the ambient value.
 
-Two emission modes share one generated signature:
-
-* **fused** — the supercapacitor three-branch physics, the buck-boost
-  knee/fixed-point, the P&O hill climb and the node brown-out state
-  machine are emitted as straight-line Python over plain float locals
-  (no attribute access, no call dispatch in the hot loop); only the
-  leaf harvester physics (``open_circuit_voltage`` / ``power_at`` /
-  ``max_power``) remains as bound-method calls, behind pure
-  single-slot memos keyed on the ambient value. Engaged for the
-  single-supercap / buck-boost / P&O / plain-node platform shape.
-* **driver** — a generated twin of :func:`.plan.run_plan`'s loop body
-  with the lowering's closures bound in the prologue and the channel /
-  store loops unrolled; exact for every kernel-eligible system, so the
-  codegen path reports ``execution_path == "codegen"`` for all seven
-  Table I systems.
+A plan outside that envelope makes :func:`prepare_codegen` raise
+:exc:`~.protocol.LoweringUnsupported` naming the first component the
+emitter cannot fuse; the engine then runs the plan on the scalar kernel
+and reports the refusal as ``SimulationResult.codegen_fallback``.
 
 Numerics contract (PR 4): the emitted code performs the same
 floating-point operations in the same order as the scalar kernel —
 state squarings stay ``v * v``, exact-libm call sites (``math.sqrt``,
 the hoisted ``math.exp`` constants) are preserved, float literals are
 baked with ``repr`` (shortest round-trip, exact), and every branch /
-early return / accumulator of the component code is replicated.
-Both modes are bitwise identical to the legacy and scalar-kernel
-paths; the differential and determinism suites enforce it.
+early return / accumulator of the component code is replicated. The
+fused path is bitwise identical to the legacy and scalar-kernel paths;
+the differential and determinism suites enforce it.
 
 Scheduled events never fire inside generated code: the loop breaks at
 the event boundary, writes its locals back to the component objects,
 and the engine finishes the segment on the scalar kernel (which fires
 the event at its loop top) — mirroring the batched tier's peel-out.
 
-Compilation backend: ``numba.njit`` is attempted when the ``[codegen]``
-extra is installed, falling back permanently to the ``exec``-compiled
-pure-Python function on any numba failure (the emitted code calls
-bound harvester methods, which nopython mode rejects today — the
-wrapper exists so a future object-free emission can light it up
-without changing callers). The pure-Python function already clears the
-performance gate by eliminating per-component dispatch.
-
-Cache identity: ``(spec_hash, dt, code_version)`` via
-:mod:`repro.catalog.hashing` — the same canonical-JSON hash `repro
-spec --hash` prints. Spec-built systems carry it as
-``_codegen_spec_hash``; hand-built systems fall back to a structural
-signature (in-process caching only). The on-disk source cache under
-``$REPRO_CODEGEN_CACHE`` (default ``~/.cache/repro/codegen``) lets
-repeated CLI runs and ensemble replicates skip emission entirely; the
-in-process compile cache (keyed on the source digest) makes a second
-identical run perform zero compilations.
+Compile cache: the emitted source is a pure function of the fused
+configuration's signature (every baked literal and emission branch), so
+compiled step functions are cached in-process on that signature and a
+second identical run performs zero compilations.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
-import time as _time
-
 import math
+import time as _time
 
 from ...conditioning.base import HarvestStep
 from ...load.node import NodeState
 from .protocol import LoweringUnsupported
 
-try:  # pragma: no cover - exercised only with the [codegen] extra
-    import numba
-except ImportError:  # the pure-Python backend is the tested baseline
-    numba = None
-
-__all__ = [
-    "prepare_codegen",
-    "codegen_stats",
-    "reset_codegen_stats",
-    "clear_codegen_cache",
-    "codegen_cache_identity",
-]
+__all__ = ["prepare_codegen", "codegen_stats", "clear_codegen_cache"]
 
 _INF = float("inf")
 
-#: Compiled artifacts keyed on the emitted source's digest. A second
-#: identical run (same spec hash, dt, code version) lands here and
-#: performs zero compilations — the warm-cache contract.
-_COMPILE_CACHE: dict = {}
-#: Emitted source keyed on the full cache identity, so repeated plan
-#: preparations (ensemble replicates) skip emission too.
-_SOURCE_MEMO: dict = {}
+#: Compiled step functions keyed on the fused configuration's ``sig``.
+_COMPILED: dict = {}
 
-_STATS_ZERO = {
+_STATS = {
     "hits": 0,          # compile-cache hits (no compilation performed)
-    "misses": 0,        # compile-cache misses
-    "compiles": 0,      # actual exec-compilations performed
-    "compile_s": 0.0,   # cumulative wall time spent compiling
-    "disk_hits": 0,     # sources loaded from the on-disk cache
-    "emitted": 0,       # sources emitted fresh
-    "numba_failures": 0,
+    "compiles": 0,      # step functions emitted and compiled
+    "compile_s": 0.0,   # cumulative wall time spent emitting + compiling
 }
-_STATS = dict(_STATS_ZERO)
 
 
 def codegen_stats() -> dict:
@@ -109,31 +67,9 @@ def codegen_stats() -> dict:
     return dict(_STATS)
 
 
-def reset_codegen_stats() -> None:
-    _STATS.update(_STATS_ZERO)
-
-
 def clear_codegen_cache() -> None:
-    """Drop the in-process caches (the on-disk source cache persists)."""
-    _COMPILE_CACHE.clear()
-    _SOURCE_MEMO.clear()
-
-
-def codegen_cache_identity(system, dt: float) -> dict:
-    """The documented cache identity for ``system`` at ``dt``.
-
-    ``spec_hash`` is the canonical-JSON SHA-256 attached by
-    :func:`repro.spec.build.build` — byte-for-byte what ``repro spec
-    --hash`` prints — or None for hand-built systems (which cache
-    in-process only, on a structural signature).
-    """
-    from ...catalog.hashing import code_version
-    spec_hash = getattr(system, "_codegen_spec_hash", None)
-    return {
-        "spec_hash": spec_hash,
-        "dt": repr(float(dt)),
-        "code_version": code_version(),
-    }
+    """Drop the compiled step functions (the counters keep counting)."""
+    _COMPILED.clear()
 
 
 # ----------------------------------------------------------------------
@@ -156,138 +92,31 @@ def _lit(x) -> str:
     return repr(f)
 
 
-# ----------------------------------------------------------------------
-# Compilation backend
-# ----------------------------------------------------------------------
-class _CompiledStep:
-    """Compiled step function with a numba attempt and a sticky fallback.
-
-    The first call tries ``numba.njit`` when the extra is installed;
-    nopython typing runs before any of the function body executes, so a
-    failure has no side effects and the wrapper falls back permanently
-    to the exec-compiled pure-Python function.
-    """
-
-    __slots__ = ("pyfunc", "source_digest", "_state", "_jitted")
-
-    def __init__(self, pyfunc, source_digest: str):
-        self.pyfunc = pyfunc
-        self.source_digest = source_digest
-        self._state = "try" if numba is not None else "python"
-        self._jitted = None
-
-    @property
-    def backend(self) -> str:
-        return "numba" if self._state == "numba" else "python"
-
-    def __call__(self, *args):
-        if self._state == "python":
-            return self.pyfunc(*args)
-        if self._state == "numba":
-            return self._jitted(*args)
-        try:  # pragma: no cover - needs the [codegen] extra
-            jitted = numba.njit(self.pyfunc)
-            result = jitted(*args)
-        except Exception:
-            _STATS["numba_failures"] += 1
-            self._state = "python"
-            return self.pyfunc(*args)
-        self._jitted = jitted  # pragma: no cover
-        self._state = "numba"  # pragma: no cover
-        return result  # pragma: no cover
-
-
-def _compile(source: str) -> _CompiledStep:
-    """Compile emitted source, deduplicated on its digest.
+def _compiled_step(cfg):
+    """The step function for ``cfg``, emitted and compiled once per process.
 
     The hit counter only increments here: one warm ``simulate`` is one
     hit and zero compilations, which the warm-cache tests assert.
     """
-    digest = hashlib.sha256(source.encode()).hexdigest()
-    cached = _COMPILE_CACHE.get(digest)
-    if cached is not None:
+    step = _COMPILED.get(cfg["sig"])
+    if step is not None:
         _STATS["hits"] += 1
-        return cached
-    _STATS["misses"] += 1
+        return step
     t0 = _time.perf_counter()
     namespace: dict = {}
-    code = compile(source, f"<repro-codegen {digest[:12]}>", "exec")
-    exec(code, namespace)
-    step = _CompiledStep(namespace["_codegen_run"], digest)
+    exec(compile(_emit_fused(cfg), "<repro-codegen>", "exec"), namespace)
+    step = _COMPILED[cfg["sig"]] = namespace["_codegen_run"]
     _STATS["compiles"] += 1
     _STATS["compile_s"] += _time.perf_counter() - t0
-    _COMPILE_CACHE[digest] = step
     return step
 
 
 # ----------------------------------------------------------------------
-# Source cache (in-process memo + on-disk)
+# Runner
 # ----------------------------------------------------------------------
-def _cache_dir() -> str:
-    override = os.environ.get("REPRO_CODEGEN_CACHE")
-    if override:
-        return override
-    return os.path.join(os.path.expanduser("~"), ".cache", "repro",
-                        "codegen")
-
-
-def _source_key(system, dt: float, mode: str, sig) -> tuple:
-    """Full cache identity for one emitted source.
-
-    The headline triple ``(spec_hash, dt, code_version)`` is the
-    documented identity; ``mode`` and the baked-configuration signature
-    ride along as a drift guard, so a system mutated *after* spec
-    construction (or a hand-built system without a spec hash) can never
-    collide with a stale artifact.
-    """
-    from ...catalog.hashing import code_version
-    spec_hash = getattr(system, "_codegen_spec_hash", None)
-    return (spec_hash, repr(float(dt)), code_version(), mode, repr(sig))
-
-
-def _disk_path(key: tuple) -> str:
-    digest = hashlib.sha256("\x1f".join(map(str, key)).encode()).hexdigest()
-    return os.path.join(_cache_dir(), f"{digest}.py")
-
-
-def _load_or_emit(system, dt: float, mode: str, sig, emit) -> str:
-    """Source for ``(system, dt, mode, sig)``: memo -> disk -> emit."""
-    key = _source_key(system, dt, mode, sig)
-    source = _SOURCE_MEMO.get(key)
-    if source is not None:
-        return source
-    # On-disk source cache: only for spec-built systems, whose headline
-    # identity is content-addressed and survives process restarts.
-    path = _disk_path(key) if key[0] is not None else None
-    if path is not None:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                source = fh.read()
-            _STATS["disk_hits"] += 1
-        except OSError:
-            source = None
-    if source is None:
-        source = emit()
-        _STATS["emitted"] += 1
-        if path is not None:
-            try:
-                os.makedirs(os.path.dirname(path), exist_ok=True)
-                tmp = f"{path}.tmp.{os.getpid()}"
-                with open(tmp, "w", encoding="utf-8") as fh:
-                    fh.write(source)
-                os.replace(tmp, path)
-            except OSError:
-                pass  # disk cache is best-effort
-    _SOURCE_MEMO[key] = source
-    return source
-
-
-# ----------------------------------------------------------------------
-# Driver-mode emitter: a generated twin of run_plan's loop body
-# ----------------------------------------------------------------------
-_SIGNATURE = ("def _codegen_run(lowering, system, times, avs, scalars, "
-              "state_arr, store_e, store_v, chan_p, base, next_event_t, "
-              "n_steps, start, ctx):")
+_SIGNATURE = ("def _codegen_run(system, times, avs, scalars, state_arr, "
+              "store_e, store_v, chan_p, base, next_event_t, n_steps, "
+              "start, ctx):")
 
 _SCALAR_COLS = (
     ("col_t", "t"), ("col_raw", "harvest_raw"),
@@ -298,137 +127,15 @@ _SCALAR_COLS = (
     ("col_mea", "measurements"),
 )
 
-
-def _driver_shape(lowering, has_cols) -> tuple:
-    return (
-        len(lowering.channels),
-        tuple(has_cols),
-        lowering.bus is not None,
-        lowering.manager_control is not None,
-        lowering.bank.backup_energy is not None,
-        len(lowering.bank.store_objects),
-    )
+_CTX = {
+    "RUNNING": NodeState.RUNNING,
+    "DEAD": NodeState.DEAD,
+    "REBOOTING": NodeState.REBOOTING,
+    "HarvestStep": HarvestStep,
+    "sqrt": math.sqrt,
+}
 
 
-def _emit_driver(shape) -> str:
-    """Emit the scalar-kernel loop with closures bound and loops unrolled.
-
-    Semantically a line-for-line twin of :func:`.plan.run_plan`'s body:
-    same phase order, same accumulation order (``raw = 0.0`` then
-    ``+=`` per channel, preserving -0.0 semantics), same guards — with
-    the event clause replaced by a boundary break (the engine resumes
-    on the scalar kernel, which fires the event).
-    """
-    (n_channels, has_cols, has_bus, has_control, has_backup,
-     n_stores) = shape
-    L: list[str] = [_SIGNATURE]
-    A = L.append
-    A("    RUNNING = ctx['RUNNING']")
-    A("    DEAD = ctx['DEAD']")
-    A("    INF = float('inf')")
-    A("    bank = lowering.bank")
-    A("    bank_voltage = bank.voltage")
-    A("    bank_charge = bank.charge")
-    A("    bank_discharge = bank.discharge")
-    A("    bank_idle = bank.idle")
-    if has_backup:
-        A("    backup_energy = bank.backup_energy")
-    for k in range(n_channels):
-        A(f"    chan_step_{k} = lowering.channels[{k}].step")
-        if has_cols[k]:
-            A(f"    av_{k} = avs[{k}]")
-    A("    out_needed = lowering.output.needed")
-    A("    node_demand = lowering.node.demand")
-    A("    node_step = lowering.node.step")
-    if has_control:
-        A("    control = lowering.manager_control")
-    A("    tq = lowering.quiescent_a")
-    if has_bus:
-        A("    bus = lowering.bus")
-    for k in range(n_stores):
-        A(f"    store_{k} = bank.store_objects[{k}]")
-        A(f"    store_vv_{k} = bank.store_voltages[{k}]")
-    for name, col in _SCALAR_COLS:
-        A(f"    {name} = scalars['{col}']")
-    A("    dt = ctx['dt']")
-    A("    for i in range(start, n_steps):")
-    A("        t = times[i]")
-    A("        if next_event_t <= t:")
-    A("            done = i")
-    A("            break")
-    if has_control:
-        A("        control(t, dt, system)")
-    A("        bus_v = bank_voltage()")
-    A("        row = base + i")
-    A("        raw = 0.0")
-    A("        delivered = 0.0")
-    A("        mpp = 0.0")
-    for k in range(n_channels):
-        value = f"av_{k}[i]" if has_cols[k] else "0.0"
-        A(f"        hs = chan_step_{k}({value}, bus_v)")
-        A("        raw += hs.raw_power")
-        A("        hs_delivered = hs.delivered_power")
-        A("        delivered += hs_delivered")
-        A("        mpp += hs.mpp_power")
-        A(f"        chan_p[row, {k}] = hs_delivered")
-    A("        accepted = bank_charge(delivered) if delivered > 0.0 "
-      "else 0.0")
-    A("        iq = tq * (bus_v if bus_v > 0.0 else 0.0)")
-    if has_bus:
-        A("        pending = bus.energy_spent_j - "
-          "system._bus_energy_charged_j")
-        A("        system._bus_energy_charged_j = bus.energy_spent_j")
-        A("        iq += pending / dt")
-    A("        quiescent_drawn = bank_discharge(iq) if iq > 0.0 else 0.0")
-    if has_backup:
-        A("        backup_before = backup_energy()")
-    A("        demand = node_demand()")
-    A("        sv = bank_voltage()")
-    A("        needed = out_needed(demand, sv)")
-    A("        if needed == INF or demand <= 0.0:")
-    A("            supplied = 0.0")
-    A("            drawn = 0.0")
-    A("        else:")
-    A("            drawn = bank_discharge(needed)")
-    A("            supplied = demand * (drawn / needed) if needed > 0.0 "
-      "else 0.0")
-    A("        node_result = node_step(supplied, dt)")
-    A("        consumed = node_result.consumed_w")
-    A("        if supplied > 0.0 and consumed < supplied - 1e-15:")
-    A("            bank_charge(drawn * (1.0 - consumed / supplied))")
-    if has_backup:
-        A("        dropped = backup_before - backup_energy()")
-        A("        backup_power = (dropped if dropped > 0.0 else 0.0) / dt")
-    else:
-        A("        backup_power = 0.0")
-    A("        bank_idle()")
-    A("        col_t[row] = t")
-    A("        col_raw[row] = raw")
-    A("        col_del[row] = delivered")
-    A("        col_mpp[row] = mpp")
-    A("        col_acc[row] = accepted")
-    A("        col_qsc[row] = quiescent_drawn")
-    A("        col_dem[row] = demand")
-    A("        col_sup[row] = supplied")
-    A("        col_con[row] = consumed")
-    A("        col_bak[row] = backup_power")
-    A("        col_mea[row] = node_result.measurements")
-    A("        state = node_result.state")
-    A("        state_arr[row] = 0 if state is RUNNING else "
-      "(1 if state is DEAD else 2)")
-    for k in range(n_stores):
-        A(f"        store_e[row, {k}] = store_{k}.energy_j")
-        A(f"        store_v[row, {k}] = store_vv_{k}()")
-    A("    else:")
-    A("        done = n_steps")
-    A("    return done")
-    A("")
-    return "\n".join(L)
-
-
-# ----------------------------------------------------------------------
-# Runner
-# ----------------------------------------------------------------------
 class CodegenRunner:
     """A compiled step function bound to one plan + environment segment.
 
@@ -439,14 +146,11 @@ class CodegenRunner:
     batched tier's peel-out.
     """
 
-    __slots__ = ("plan", "compiled", "step_fn", "mode", "_avs", "_times",
-                 "_ctx")
+    __slots__ = ("system", "step_fn", "_avs", "_times")
 
-    def __init__(self, plan, compiled, step_fn, mode: str):
-        self.plan = plan
-        self.compiled = compiled
+    def __init__(self, plan, compiled, step_fn):
+        self.system = plan.system
         self.step_fn = step_fn
-        self.mode = mode
         self._times = compiled.times_list()
 
         def values_for(source):
@@ -457,73 +161,60 @@ class CodegenRunner:
 
         self._avs = tuple(values_for(lw.source_type)
                           for lw in plan.lowering.channels)
-        self._ctx = {
-            "RUNNING": NodeState.RUNNING,
-            "DEAD": NodeState.DEAD,
-            "REBOOTING": NodeState.REBOOTING,
-            "HarvestStep": HarvestStep,
-            "sqrt": math.sqrt,
-            "dt": plan.dt,
-        }
-
-    @property
-    def backend(self) -> str:
-        return self.step_fn.backend
 
     def __call__(self, schedule, recorder, n_steps: int,
                  start: int = 0) -> int:
         (scalars, state_arr, store_e, store_v, chan_p, base) = \
             recorder.columns_for_writing()
-        next_event_t = schedule.next_time()
         done = self.step_fn(
-            self.plan.lowering, self.plan.system, self._times, self._avs,
-            scalars, state_arr, store_e, store_v, chan_p, base,
-            next_event_t, n_steps, start, self._ctx)
+            self.system, self._times, self._avs, scalars, state_arr,
+            store_e, store_v, chan_p, base, schedule.next_time(), n_steps,
+            start, _CTX)
         if done == n_steps:
             recorder.commit(n_steps)
         return done
 
 
 def prepare_codegen(plan, compiled) -> CodegenRunner:
-    """Lower ``plan`` onto the codegen tier.
+    """Lower ``plan`` onto the fused codegen tier.
 
-    Chooses the fused emission when the platform shape qualifies (see
-    :func:`_fused_config`), the generated driver otherwise — both are
-    bitwise-exact, so this choice is a pure performance decision and
-    never affects eligibility: any plan the scalar kernel compiled can
-    run here.
+    Raises :exc:`LoweringUnsupported` naming the first component outside
+    the fused envelope (see :func:`_fused_config`); the engine then runs
+    the plan on the scalar kernel, which produces the same bits.
     """
-    system = plan.system
-    dt = plan.dt
     has_cols = tuple(compiled.column_of(lw.source_type) is not None
                      for lw in plan.lowering.channels)
-    cfg = _fused_config(plan, has_cols)
-    if cfg is not None:
-        source = _load_or_emit(system, dt, "fused", cfg["sig"],
-                               lambda: _emit_fused(cfg))
-        mode = "fused"
-    else:
-        shape = _driver_shape(plan.lowering, has_cols)
-        source = _load_or_emit(system, dt, "driver", shape,
-                               lambda: _emit_driver(shape))
-        mode = "driver"
-    step_fn = _compile(source)
-    return CodegenRunner(plan, compiled, step_fn, mode)
+    step_fn = _compiled_step(_fused_config(plan, has_cols))
+    return CodegenRunner(plan, compiled, step_fn)
 
 
 # ----------------------------------------------------------------------
 # Fused-mode gate
 # ----------------------------------------------------------------------
-def _fused_config(plan, has_cols):
-    """Collect the fused emission's baked constants, or None.
+def _outside(obj, reason: str) -> LoweringUnsupported:
+    """The refusal naming ``obj`` as outside the fused envelope."""
+    name = type(obj).__name__
+    return LoweringUnsupported(f"{name} {reason}", component=name,
+                               capability="fused codegen emission")
+
+
+def _require(obj, cls: type) -> None:
+    if type(obj) is not cls:
+        raise _outside(obj, f"is not a plain {cls.__name__}, the only "
+                            f"class the fused emission inlines there")
+
+
+def _fused_config(plan, has_cols) -> dict:
+    """Collect the fused emission's baked constants.
 
     The fused emitter inlines exact twins of specific component
     classes, so it engages only when every component *is* (not merely
     derives from) the class whose arithmetic it bakes: one
     :class:`Supercapacitor` behind a plain bank, buck-boost output,
     P&O + buck-boost channels over library harvesters, a plain node,
-    and at most a zero-wakeup :class:`StaticManager`. Everything else
-    runs the generated driver — same bits, less fusion.
+    and at most a zero-wakeup :class:`StaticManager`. Anything else
+    raises :exc:`LoweringUnsupported` naming the first component that
+    falls outside.
     """
     from ...conditioning.base import InputConditioner, OutputConditioner
     from ...conditioning.converters import BuckBoostConverter
@@ -540,44 +231,47 @@ def _fused_config(plan, has_cols):
     lowering = plan.lowering
     system = plan.system
     dt = plan.dt
-    if type(system) is not MultiSourceSystem:
-        return None
-    if lowering.bus is not None or lowering.bank.backup_energy is not None:
-        return None
+    _require(system, MultiSourceSystem)
+    if lowering.bus is not None:
+        raise _outside(lowering.bus, "drives a bus; the fused loop has no "
+                                     "bus phase")
     bank = system.bank
-    if type(bank) is not StorageBank or len(bank.stores) != 1:
-        return None
+    _require(bank, StorageBank)
+    if len(bank.stores) != 1:
+        raise _outside(bank, f"holds {len(bank.stores)} stores; the fused "
+                             f"emission inlines exactly one")
     store = bank.stores[0]
-    if type(store) is not Supercapacitor:
-        return None
+    _require(store, Supercapacitor)
+    if store.is_backup:
+        raise _outside(store, "is a backup store; the fused emission has "
+                              "no backup cascade")
     mgr = system.manager
-    if mgr is not None and (type(mgr) is not StaticManager or
-                            mgr.wakeup_energy_j != 0.0):
-        return None
+    if mgr is not None:
+        _require(mgr, StaticManager)
+        if mgr.wakeup_energy_j != 0.0:
+            raise _outside(mgr, "spends wakeup energy; the fused emission "
+                                "inlines only its scheduling counters")
     output = system.output
-    if type(output) is not OutputConditioner:
-        return None
+    _require(output, OutputConditioner)
     oconv = output.converter
-    if type(oconv) is not BuckBoostConverter:
-        return None
+    _require(oconv, BuckBoostConverter)
     node = system.node
-    if type(node) is not WirelessSensorNode:
-        return None
+    _require(node, WirelessSensorNode)
     channels = []
     for k, ch in enumerate(system.channels):
-        if type(ch) is not HarvestingChannel or not ch.enabled:
-            return None
+        _require(ch, HarvestingChannel)
+        if not ch.enabled:
+            raise _outside(ch, f"{ch.name!r} is disabled")
         cond = ch.conditioner
-        if type(cond) is not InputConditioner:
-            return None
+        _require(cond, InputConditioner)
         tracker = cond.tracker
-        if type(tracker) is not PerturbObserve:
-            return None
+        _require(tracker, PerturbObserve)
         cconv = cond.converter
-        if type(cconv) is not BuckBoostConverter:
-            return None
+        _require(cconv, BuckBoostConverter)
         if not type(ch.harvester).__module__.startswith("repro.harvesters"):
-            return None
+            raise _outside(ch.harvester, "is not a library harvester, "
+                                         "whose physics the fused memos "
+                                         "assume pure")
         channels.append({
             "has_col": bool(has_cols[k]),
             "period": _lit(tracker.update_period),
@@ -592,7 +286,8 @@ def _fused_config(plan, has_cols):
     reboot_power = node._reboot_power()
     if demand_run <= 0.0 or reboot_power <= 0.0:
         # The §4 emission elides run_plan's ``demand <= 0.0`` test.
-        return None
+        raise _outside(node, "has a non-positive demand; the fused "
+                             "emission elides the zero-demand branch")
     needed_margin = demand_run - node.sleep_power_w
     (c_fast, c_slow, half_cs, cap_f, capacity_j, min_v2, full_e,
      floor_e, half_cf, alpha, leak) = store._kernel_consts(dt)

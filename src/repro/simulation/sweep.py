@@ -204,18 +204,10 @@ def _execute(payload) -> ScenarioResult:
     environment = _build_environment(spec)
     events = spec.events() if callable(spec.events) else spec.events
     scenario_fast = spec.fast if spec.fast != "auto" else fast
-    if scenario_fast == "auto":
-        # Per-scenario fallback lanes (missed or disabled batch tier)
-        # prefer the fused codegen tier: same eligibility envelope as
-        # the scalar kernel, bitwise-identical columns, and the compile
-        # cache amortizes across a sweep's repeated topologies. An
-        # ineligible system degrades to legacy with the refusal
-        # reported below, exactly as fast="auto" would have.
-        scenario_fast = "codegen"
     result = simulate(system, environment, duration=spec.duration,
                       events=events, dt=spec.dt, fast=scenario_fast)
     extras = spec.collect(result) if spec.collect is not None else {}
-    if getattr(result, "codegen_fallback", None) is not None:
+    if result.codegen_fallback is not None:
         extras.setdefault("codegen_fallback_reason", result.codegen_fallback)
     return ScenarioResult(
         name=spec.name,
@@ -245,9 +237,10 @@ class SweepRunner:
     ``execution_path`` reports which one did (``"batched"``,
     ``"codegen"``, ``"kernel"``, ``"legacy"``, or a ``+``-joined
     combination when a mid-run event forced a handoff). Fallback lanes
-    running under ``fast="auto"`` are upgraded to the fused codegen
-    tier; rows that miss it carry ``codegen_fallback_reason`` in their
-    extras beside the batched tier's ``batch_fallback_reason``.
+    run the scenario's ``fast`` setting like a plain
+    :func:`~repro.simulation.simulate` call; under ``fast="codegen"``,
+    rows that missed the fused tier carry ``codegen_fallback_reason`` in
+    their extras beside the batched tier's ``batch_fallback_reason``.
 
     Parameters
     ----------

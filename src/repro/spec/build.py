@@ -120,15 +120,7 @@ def build(spec):
     if isinstance(spec, SystemSpec):
         _ensure_registered()
         factory = REGISTRY.get("system", spec.system)
-        system = factory(**_resolve_params(spec.params))
-        # Stamp the canonical spec identity on the instance: the codegen
-        # tier keys its compile cache on this exact hash (see
-        # repro.simulation.kernel.codegen), so spec-built systems are
-        # compile-once-run-many across replicates and CLI invocations —
-        # and `repro spec --hash` prints the same value by construction.
-        from .canonical import spec_hash
-        system._codegen_spec_hash = spec_hash(spec)
-        return system
+        return factory(**_resolve_params(spec.params))
     if isinstance(spec, EnvironmentSpec):
         return build_environment(spec)
     if isinstance(spec, ComponentSpec):

@@ -356,8 +356,8 @@ class TestFallback:
         specs = [ScenarioSpec(name="d0", system=partial(build_system, "D"),
                               environment=env, seed=0)]
         sweep = SweepRunner(processes=1, batch=False).run(specs)
-        # batch=False lanes prefer the fused codegen tier now.
-        assert sweep["d0"].execution_path == "codegen"
+        # batch=False lanes run fast="auto" like a plain simulate().
+        assert sweep["d0"].execution_path == "kernel"
 
     def test_invalid_batch_value_rejected(self):
         with pytest.raises(ValueError, match="batch"):

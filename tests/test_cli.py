@@ -59,6 +59,26 @@ class TestSimulateCommand:
                            if "execution path" not in line]
         assert strip(kernel_out) == strip(legacy_out)
 
+    def test_codegen_fallback_is_reported(self, tmp_path, capsys):
+        """System C holds two stores, so --fast codegen runs the kernel;
+        the simulate summary and run --json both say why."""
+        assert main(["simulate", "C", "--days", "0.2", "--dt", "600",
+                     "--fast", "codegen"]) == 0
+        out = capsys.readouterr().out
+        assert "execution path        kernel" in out
+        assert "codegen fallback      StorageBank: missing fused codegen " \
+            "emission" in out
+        main(["spec", "C", "--env", "outdoor", "--days", "0.2",
+              "--dt", "600"])
+        path = tmp_path / "run.json"
+        path.write_text(capsys.readouterr().out)
+        assert main(["run", str(path), "--json", "--fast", "codegen"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["execution_path"] == "kernel"
+        assert payload["codegen_fallback"]["component"] == "StorageBank"
+        assert main(["run", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["codegen_fallback"] is None
+
     def test_seed_changes_output(self, capsys):
         main(["simulate", "A", "--days", "0.5", "--dt", "300",
               "--seed", "1"])
@@ -420,6 +440,14 @@ class TestSpecHashFlag:
         # Wrapping the system in a RunSpec changes the addressed document.
         main(["spec", "C", "--env", "outdoor", "--hash"])
         assert capsys.readouterr().out.strip() != first
+
+    @pytest.mark.parametrize("letter", "ABCDEFG")
+    def test_matches_the_library_spec_hash(self, letter, capsys):
+        """The hash the CLI prints is byte-for-byte the library's
+        canonical spec hash of the letter's SystemSpec."""
+        from repro.spec import spec_for, spec_hash
+        assert main(["spec", letter, "--hash"]) == 0
+        assert capsys.readouterr().out.strip() == spec_hash(spec_for(letter))
 
 
 class TestCatalogCLI:

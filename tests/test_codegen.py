@@ -1,147 +1,105 @@
-"""Codegen tier unit suite: cache identity, warm-cache reuse, backends.
+"""Codegen tier unit suite: warm-cache reuse and the fused envelope.
 
 The bitwise-equivalence gates live in ``tests/test_determinism.py``
-(Table I letters A-G, mid-run event handoff) and
-``tests/test_differential.py`` (fuzzed corpus); this file covers the
-compile-cache machinery itself:
+(Table I letters A-G, the fused emission branches, mid-run event
+handoff) and ``tests/test_differential.py`` (fuzzed corpus); this file
+covers the compile cache and the envelope gate:
 
-* the cache identity is byte-for-byte what ``repro spec --hash``
-  prints — the regression guard for ISSUE 8's identity-drift fix;
 * a second identical run performs zero compilations and increments the
-  hit counter (the warm-cache contract, on whichever backend is
-  installed);
-* the on-disk source cache survives a cleared in-process cache;
-* eligibility falls back with a structured CapabilityReport.
+  hit counter (the warm-cache contract);
+* the cache keys on the fused configuration, so independently built
+  systems share one compiled function and a changed constant compiles
+  anew;
+* a plan outside the fused envelope is refused with a report naming
+  the first component outside it;
+* a system outside the kernel envelope falls to legacy with a report.
 """
 
 import pytest
 
-from repro.cli import main
+from repro.analysis.experiments.common import make_reference_system
 from repro.environment.composite import outdoor_environment
+from repro.harvesters import PhotovoltaicCell
 from repro.simulation import simulate
 from repro.simulation.kernel import (
+    LoweringUnsupported,
     clear_codegen_cache,
-    codegen_cache_identity,
     codegen_stats,
     prepare_codegen,
 )
 from repro.simulation.kernel.plan import KernelPlan
-from repro.spec import spec_for
-from repro.spec.build import build
 from repro.systems import SYSTEM_BUILDERS
 
 DAY = 86_400.0
 DT = 600.0
 
 
-def _spec_system(letter: str):
-    """A Table I system built through the spec layer (hash stamped)."""
-    return build(spec_for(letter))
+def _reference_system(capacitance_f: float = 50.0):
+    """The fused shape: one supercap, P&O + buck-boost, StaticManager."""
+    return make_reference_system(
+        [PhotovoltaicCell(area_cm2=30.0, name="pv")],
+        capacitance_f=capacitance_f)
 
 
 def _env(seed: int = 5):
     return outdoor_environment(duration=0.1 * DAY, dt=DT, seed=seed)
 
 
-class TestCacheIdentity:
-    @pytest.mark.parametrize("letter", sorted(SYSTEM_BUILDERS))
-    def test_cli_spec_hash_matches_codegen_cache_key(self, letter, capsys):
-        """`repro spec --hash` and the codegen cache must agree on
-        identity: the hash the CLI prints is byte-for-byte the
-        spec_hash component of the compile-cache key."""
-        assert main(["spec", letter, "--hash"]) == 0
-        printed = capsys.readouterr().out.strip()
-        identity = codegen_cache_identity(_spec_system(letter), DT)
-        assert identity["spec_hash"] == printed
-        assert len(printed) == 64 and set(printed) <= set("0123456789abcdef")
-
-    def test_identity_carries_dt_and_code_version(self):
-        identity = codegen_cache_identity(_spec_system("C"), 300.0)
-        assert identity["dt"] == repr(300.0)
-        assert identity["code_version"]
-
-    def test_hand_built_systems_have_no_spec_hash(self):
-        system = SYSTEM_BUILDERS["C"]()
-        assert codegen_cache_identity(system, DT)["spec_hash"] is None
-
-
 class TestWarmCache:
-    def test_second_identical_run_compiles_nothing(self, tmp_path,
-                                                   monkeypatch):
-        """The warm-cache contract: run an identical spec twice — the
-        second run performs zero compilations and zero emissions, and
-        the in-process hit counter increments."""
-        # Isolate the on-disk source cache: a prior process's entry
-        # would legitimately satisfy the cold run's source lookup
-        # (disk_hits instead of emitted) and mask what this asserts.
-        monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path))
+    def test_second_identical_run_compiles_nothing(self):
+        """The warm-cache contract: run an identical system twice — the
+        second run performs zero compilations, and the hit counter
+        increments."""
         clear_codegen_cache()
         env = _env()
         before = codegen_stats()
-        first = simulate(_spec_system("C"), env, dt=DT, fast="codegen")
+        first = simulate(_reference_system(), env, dt=DT, fast="codegen")
         cold = codegen_stats()
         assert first.execution_path == "codegen"
         assert cold["compiles"] == before["compiles"] + 1
-        assert cold["emitted"] == before["emitted"] + 1
         assert cold["compile_s"] > before["compile_s"]
 
-        second = simulate(_spec_system("C"), env, dt=DT, fast="codegen")
+        second = simulate(_reference_system(), env, dt=DT, fast="codegen")
         warm = codegen_stats()
         assert second.execution_path == "codegen"
         assert warm["compiles"] == cold["compiles"]
-        assert warm["emitted"] == cold["emitted"]
         assert warm["hits"] == cold["hits"] + 1
-
-    def test_disk_cache_survives_inprocess_clear(self, tmp_path,
-                                                 monkeypatch):
-        """Spec-hashed systems persist emitted source on disk: a fresh
-        process (simulated by clearing the in-process caches) reuses it
-        instead of re-emitting."""
-        monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path))
-        clear_codegen_cache()
-        env = _env()
-        first = simulate(_spec_system("C"), env, dt=DT, fast="codegen")
-        assert first.execution_path == "codegen"
-        cached = list(tmp_path.glob("*.py"))
-        assert len(cached) == 1
-
-        clear_codegen_cache()
-        before = codegen_stats()
-        second = simulate(_spec_system("C"), env, dt=DT, fast="codegen")
-        after = codegen_stats()
-        assert second.execution_path == "codegen"
-        assert after["disk_hits"] == before["disk_hits"] + 1
-        assert after["emitted"] == before["emitted"]
-        # The source still has to be compiled once per process...
-        assert after["compiles"] == before["compiles"] + 1
-        # ...and the runs agree bitwise.
         for column in ("harvest_delivered", "stored_energy"):
             a = first.recorder.column(column)
             b = second.recorder.column(column)
             assert (a == b).all(), column
 
-    def test_hand_built_systems_cache_in_process_only(self, tmp_path,
-                                                      monkeypatch):
-        monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path))
+    def test_hand_built_systems_cache_in_process_only(self):
+        """The compile cache keys on the fused configuration, not on how
+        a system was built: a changed baked constant (capacitance, dt)
+        compiles a new function, and the original configuration still
+        hits."""
         clear_codegen_cache()
-        result = simulate(SYSTEM_BUILDERS["C"](), _env(), dt=DT,
-                          fast="codegen")
-        assert result.execution_path == "codegen"
-        assert list(tmp_path.glob("*.py")) == []
+        env = _env()
+        simulate(_reference_system(), env, dt=DT, fast="codegen")
+        before = codegen_stats()
+        simulate(_reference_system(capacitance_f=20.0), env, dt=DT,
+                 fast="codegen")
+        simulate(_reference_system(), env, dt=DT / 2, fast="codegen")
+        after = codegen_stats()
+        assert after["compiles"] == before["compiles"] + 2
+        simulate(_reference_system(), env, dt=DT, fast="codegen")
+        assert codegen_stats()["hits"] == after["hits"] + 1
 
 
 class TestBackendsAndEligibility:
-    def test_runner_reports_backend(self):
-        """The compiled step advertises which backend executes it:
-        numba when the [codegen] extra is importable and jit succeeds,
-        the pure-Python exec fallback otherwise."""
+    def test_prepare_codegen_refuses_non_fused_plan(self):
+        """System C compiles on the scalar kernel but holds two stores;
+        prepare_codegen refuses it, naming the bank."""
         from repro.environment.compiled import CompiledEnvironment
-        system = _spec_system("C")
+        system = SYSTEM_BUILDERS["C"]()
         plan = KernelPlan.compile(system, DT)
         compiled = CompiledEnvironment(_env(), 0.0, 16, DT, step_offset=0)
-        runner = prepare_codegen(plan, compiled)
-        assert runner.mode in ("fused", "driver")
-        assert runner.backend in ("python", "numba", "numba?")
+        with pytest.raises(LoweringUnsupported, match="StorageBank") as info:
+            prepare_codegen(plan, compiled)
+        report = info.value.capability_report()
+        assert report.component == "StorageBank"
+        assert report.capability == "fused codegen emission"
 
     def test_invalid_fast_value_rejected(self):
         with pytest.raises(ValueError, match="fast must be"):
@@ -154,8 +112,6 @@ class TestBackendsAndEligibility:
             def charge(self, power_w, dt):
                 return super().charge(power_w * 0.5, dt)
 
-        from repro.analysis.experiments.common import make_reference_system
-        from repro.harvesters import PhotovoltaicCell
         system = make_reference_system(
             [PhotovoltaicCell(area_cm2=30.0, name="pv")],
             stores=[_Replaced(capacitance_f=25.0, name="odd")])

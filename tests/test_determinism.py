@@ -15,7 +15,10 @@ from repro.analysis.experiments.common import make_reference_system
 from repro.conditioning.mppt import FixedVoltage
 from repro.core.manager import ThresholdManager
 from repro.environment import Environment, SourceType, Trace
-from repro.environment.composite import outdoor_environment
+from repro.environment.composite import (
+    indoor_industrial_environment,
+    outdoor_environment,
+)
 from repro.harvesters import (
     MicroWindTurbine,
     PhotovoltaicCell,
@@ -44,6 +47,37 @@ def _mixed_system(manager=None):
          ThermoelectricGenerator(name="teg")],
         capacitance_f=50.0, initial_soc=0.5, measurement_interval_s=120.0,
         manager=manager)
+
+
+def _unmanaged_system():
+    system = _mixed_system()
+    system.manager = None
+    return system
+
+
+#: Reference platforms that reach fused emission, one per optional
+#: emission branch: (system factory, environment factory).
+FUSED_SHAPES = {
+    "no-manager": (_unmanaged_system, outdoor_environment),
+    "single-branch-supercap": (
+        lambda: make_reference_system(
+            [PhotovoltaicCell(area_cm2=30.0, name="pv")],
+            stores=[Supercapacitor(capacitance_f=40.0, fast_fraction=1.0,
+                                   initial_soc=0.5, name="buf")]),
+        outdoor_environment),
+    "no-ambient-column": (
+        lambda: make_reference_system(
+            [PhotovoltaicCell(area_cm2=30.0, name="pv"),
+             MicroWindTurbine(rotor_diameter_m=0.12, name="wind")]),
+        indoor_industrial_environment),
+}
+
+#: First component outside the fused envelope on each Table I letter.
+TABLE1_FUSED_REFUSALS = {
+    "A": "RegisterBus", "B": "RegisterBus", "F": "RegisterBus",
+    "C": "StorageBank",
+    "D": "AABatteryPack", "E": "ThinFilmBattery", "G": "ThinFilmBattery",
+}
 
 
 def _assert_recorders_identical(a, b):
@@ -154,9 +188,10 @@ class TestFastPathEquivalence:
 
     @pytest.mark.parametrize("letter", sorted(SYSTEM_BUILDERS))
     def test_table1_system_codegen_bitwise(self, letter):
-        """Every Table I platform (A-G) on the fused codegen tier:
-        recorded columns bit-for-bit identical to the legacy per-step
-        path, with no capability fallback."""
+        """No Table I platform (A-G) has the fused shape: under
+        ``fast="codegen"`` each runs the scalar kernel, bit-for-bit
+        identical to the legacy per-step path, and reports the first
+        component outside the fused envelope."""
         dt = 120.0
         duration = 2 * DAY
         env = outdoor_environment(duration=duration, dt=dt, seed=23)
@@ -164,6 +199,23 @@ class TestFastPathEquivalence:
                           dt=dt, fast=False)
         codegen = simulate(build_system(letter), env, duration=duration,
                            dt=dt, fast="codegen")
+        assert codegen.execution_path == "kernel"
+        assert codegen.codegen_fallback.component == \
+            TABLE1_FUSED_REFUSALS[letter]
+        _assert_recorders_identical(legacy.recorder, codegen.recorder)
+        assert legacy.metrics == codegen.metrics
+
+    @pytest.mark.parametrize("shape", sorted(FUSED_SHAPES))
+    def test_fused_emission_branches_bitwise(self, shape):
+        """The fused emitter's optional branches — no manager, a
+        single-branch supercap, a channel without an ambient column —
+        each run on codegen bit-for-bit identical to legacy."""
+        build, make_env = FUSED_SHAPES[shape]
+        dt = 120.0
+        env = make_env(duration=DAY, dt=dt, seed=41)
+        legacy = simulate(build(), env, duration=DAY, dt=dt, fast=False)
+        codegen = simulate(build(), env, duration=DAY, dt=dt,
+                           fast="codegen")
         assert codegen.execution_path == "codegen"
         assert codegen.codegen_fallback is None
         _assert_recorders_identical(legacy.recorder, codegen.recorder)

@@ -13,7 +13,12 @@ paths:
 * inside the batched envelope, a ``batch=True`` single-scenario sweep
   must reproduce the legacy recorder bit for bit; outside it,
   ``why_batch_ineligible`` must name a reason and a ``batch="auto"``
-  sweep must fall back off the batched tier.
+  sweep must fall back off the batched tier;
+* under ``fast="codegen"`` a case runs the fused emission where its
+  shape allows and the scalar kernel, with a report naming the refusing
+  component, otherwise. Registry platforms never fuse, so a small
+  fused-shape generator (PV channel count and areas, supercap size and
+  SoC) makes every run reach the fused emission too.
 
 The masked-lane envelope covers every registry platform — fuel-cell
 backup cascades, P&O/IncCond hill-climbing trackers, bus/MCU
@@ -53,7 +58,9 @@ from repro.simulation import (
     swap_storage_event,
     why_batch_ineligible,
 )
-from repro.simulation.kernel.plan import why_ineligible
+from repro.simulation.kernel import LoweringUnsupported
+from repro.simulation.kernel.codegen import _fused_config
+from repro.simulation.kernel.plan import KernelPlan, why_ineligible
 from repro.spec import (
     REGISTRY,
     EnvironmentSpec,
@@ -207,6 +214,38 @@ def fuzz_event_case(index: int):
     return build_system, (make_events if drawn else None), rng.randrange(64)
 
 
+#: Number of fuzzed fused-shape cases (see :func:`fuzz_fused_case`).
+FUSED_CASES = 6
+
+
+def fuzz_fused_case(index: int):
+    """One fuzzed platform inside the fused codegen envelope — pure in
+    index: PV channel count and areas, supercap size and initial SoC."""
+    rng = random.Random(0xF05E * 1000 + index)
+    areas = [round(rng.uniform(4.0, 60.0), 2)
+             for _ in range(rng.randint(1, 3))]
+    cap = round(rng.uniform(5.0, 80.0), 2)
+    soc = round(rng.uniform(0.05, 0.95), 3)
+
+    def build_system():
+        return make_reference_system(
+            [PhotovoltaicCell(area_cm2=area, efficiency=0.12, name=f"pv{k}")
+             for k, area in enumerate(areas)],
+            capacitance_f=cap, initial_soc=soc)
+
+    return build_system, rng.randrange(1 << 20)
+
+
+def fused_refusal(system, dt: float):
+    """The component the fused envelope refuses first, or None."""
+    plan = KernelPlan.compile(system, dt)
+    try:
+        _fused_config(plan, (True,) * len(plan.lowering.channels))
+    except LoweringUnsupported as exc:
+        return exc.capability_report().component
+    return None
+
+
 def assert_bitwise_equal(recorder, reference, label: str) -> None:
     assert len(recorder) == len(reference), f"{label}: step count diverged"
     for column in COLUMNS:
@@ -276,18 +315,18 @@ class TestFuzzedDifferential:
         assert auto[0].metrics == off[0].metrics
 
     def test_codegen_fallback_surfaces_capability_report(self):
-        """Replaced storage physics misses the codegen tier too (it
-        shares the scalar kernel's envelope, unlike ``_NoisyPV`` whose
-        harvester override only the batched tier refuses): the sweep
-        row must carry a non-empty structured CapabilityReport in its
-        extras, and ``sweep --explain`` must render it."""
+        """Replaced storage physics is outside the scalar kernel, so a
+        ``fast="codegen"`` sweep lane falls to legacy: the row must
+        carry a non-empty structured CapabilityReport in its extras,
+        and ``sweep --explain`` must render it."""
         from repro.cli import _explain_batch
         shape = "retuned-store"
         build_ineligible = INELIGIBLE_SYSTEMS[shape]
         env = partial(outdoor_environment, duration=0.05 * DAY, dt=600.0)
         spec = ScenarioSpec(name=shape, system=build_ineligible,
                             environment=env, seed=9)
-        sweep = SweepRunner(processes=1, batch="auto").run([spec])
+        sweep = SweepRunner(processes=1, batch="auto",
+                            fast="codegen").run([spec])
         row = sweep[0]
         assert row.execution_path == "legacy"
         report = row.extras.get("codegen_fallback_reason")
@@ -318,14 +357,19 @@ class TestFuzzedDifferential:
             assert auto.execution_path == "legacy"
             assert auto.metrics == legacy.metrics
 
-        # Codegen differential: the fused tier shares the scalar
-        # kernel's eligibility envelope, so wherever the kernel ran
-        # bitwise, codegen must too — and wherever it refused, codegen
-        # must degrade to legacy carrying a structured report.
+        # Codegen differential: inside the kernel envelope a case runs
+        # fused where the fused envelope accepts it and on the kernel
+        # (naming the refusing component) otherwise — bitwise either
+        # way; outside it, codegen degrades to legacy with a report.
         codegen = run_spec(spec, fast="codegen")
         if kernel_reason is None:
-            assert codegen.execution_path == "codegen"
-            assert codegen.codegen_fallback is None
+            refusal = fused_refusal(build(spec.system), spec.dt)
+            if refusal is None:
+                assert codegen.execution_path == "codegen"
+                assert codegen.codegen_fallback is None
+            else:
+                assert codegen.execution_path == "kernel"
+                assert codegen.codegen_fallback.component == refusal
             assert_bitwise_equal(codegen.recorder, legacy.recorder,
                                  f"{spec.name} codegen")
             assert codegen.metrics == legacy.metrics
@@ -351,6 +395,20 @@ class TestFuzzedDifferential:
             row, _ = _batched_recorder(spec, batch="auto")
             assert row.execution_path != "batched"
             assert row.metrics == legacy.metrics
+
+    @pytest.mark.parametrize("index", range(FUSED_CASES))
+    def test_fused_codegen_matches_legacy(self, index):
+        """Fuzzed platforms inside the fused envelope: every case runs
+        the fused emission, bit for bit equal to the legacy path."""
+        build_system, seed = fuzz_fused_case(index)
+        env = outdoor_environment(duration=DAY, dt=300.0, seed=seed)
+        legacy = simulate(build_system(), env, dt=300.0, fast=False)
+        codegen = simulate(build_system(), env, dt=300.0, fast="codegen")
+        assert codegen.execution_path == "codegen"
+        assert codegen.codegen_fallback is None
+        assert_bitwise_equal(codegen.recorder, legacy.recorder,
+                             f"fused{index}")
+        assert codegen.metrics == legacy.metrics
 
 
 #: Number of fuzzed event-schedule cases (see :func:`fuzz_event_case`).
