@@ -109,7 +109,10 @@ class InputConditioner:
         own lowerings (bound methods by default, so any model in the
         library — or a user subclass — stays exact).
         """
-        from ..simulation.kernel.protocol import ensure_unmodified
+        from ..simulation.kernel.protocol import (
+            ensure_unmodified,
+            is_library_harvester,
+        )
         ensure_unmodified(self, InputConditioner, "step")
         tracker = self.tracker
         lower_tracker = getattr(tracker, "lower_kernel", None)
@@ -138,8 +141,7 @@ class InputConditioner:
             decision = tracker_step(harvester, value, dt)
             if harvester is not memo_harvester:
                 memo_harvester = harvester
-                memo_pure = type(harvester).__module__.startswith(
-                    "repro.harvesters")
+                memo_pure = is_library_harvester(harvester)
                 memo_value = None
             if memo_pure and value == memo_value:
                 mpp_power = memo_mpp

@@ -27,6 +27,12 @@ Implemented trackers:
   sampling (k ~ 0.76 for PV; 0.5 exact for Thevenin sources).
 * :class:`IncrementalConductance` — dI/dV vs -I/V comparison.
 * :class:`FixedVoltage` — System-B-style static operating point.
+
+The hill climbs (P&O, incremental conductance) apply up to 64 control
+updates per simulation step against one ambient value. Their fast tiers
+skip the updates that only repeat an exact limit cycle (see
+:func:`perturb_observe_updates` and ``docs/kernel.md``); the legacy
+``step`` methods stay naive and are the differential oracle.
 """
 
 from __future__ import annotations
@@ -46,6 +52,71 @@ __all__ = [
     "IncrementalConductance",
     "FixedVoltage",
 ]
+
+
+#: Lag, in control updates, at which the hill-climb fast-forward compares
+#: a state with an earlier one. A repeat at lag 4 means the state cycles
+#: with period 1, 2 or 4; longer cycles run every update.
+CYCLE_LAG = 4
+
+
+def perturb_observe_updates(power_at, ambient: float, voc: float,
+                            step_fraction: float, voltage: float,
+                            last_power, direction: float, updates: int,
+                            fast_forward: bool = True):
+    """Apply ``updates`` P&O control updates against one ambient value.
+
+    The loop body is :meth:`PerturbObserve.step`'s, operator for
+    operator; ``last_power`` is ``None`` until a power has been observed.
+    Returns the new ``(voltage, last_power, direction)``.
+
+    With ``fast_forward``, every :data:`CYCLE_LAG` updates the state is
+    compared, by float equality with no tolerance, with the state
+    :data:`CYCLE_LAG` updates earlier. Within one step the update law is
+    a deterministic function of that state, so after a repeat at update
+    ``m`` the state cycles with a period dividing the lag and the
+    remaining ``updates - m`` collapse to ``(updates - m) % CYCLE_LAG``:
+    the result is the naive loop's, bit for bit. Sound only when
+    ``power_at`` is pure (see
+    :func:`~repro.simulation.kernel.protocol.is_library_harvester`);
+    pass ``fast_forward=False`` to run every update.
+    """
+    mark_v, mark_p, mark_d = voltage, last_power, direction
+    done = 0
+    while done < updates:
+        block = updates - done
+        if block > CYCLE_LAG:
+            block = CYCLE_LAG
+        for _ in range(block):
+            power = power_at(voltage, ambient)
+            if last_power is not None and power < last_power:
+                direction = -direction
+            last_power = power
+            voltage += direction * step_fraction * voc
+            voltage = min(max(voltage, 0.0), voc)
+        done += block
+        if fast_forward and done < updates:
+            if voltage == mark_v and last_power == mark_p and \
+                    direction == mark_d:
+                updates = done + (updates - done) % CYCLE_LAG
+            else:
+                mark_v, mark_p, mark_d = voltage, last_power, direction
+    return voltage, last_power, direction
+
+
+def _cycle_budgets(budget, k: int, repeats):
+    """The :func:`perturb_observe_updates` rule per lane, at update ``k``.
+
+    ``budget`` holds each lane's update count for the step and
+    ``repeats`` marks the lanes whose state equals their state
+    :data:`CYCLE_LAG` updates earlier. A repeating lane with updates
+    left keeps only ``(budget - k) % CYCLE_LAG`` of them.
+    """
+    import numpy as np
+    cycling = (budget > k) & repeats
+    if cycling.any():
+        return np.where(cycling, k + (budget - k) % CYCLE_LAG, budget)
+    return budget
 
 
 class TrackerStep:
@@ -222,6 +293,57 @@ class PerturbObserve(MPPTracker):
         return TrackerStep(self._voltage)
 
     # ------------------------------------------------------------------
+    # Kernel lowering (see repro.simulation.kernel)
+    # ------------------------------------------------------------------
+    def lower_kernel(self, dt: float):
+        """Kernel closure: :meth:`step` with the hill climb fast-forwarded.
+
+        The closure reads and writes the tracker's own attributes, so it
+        and :meth:`step` can take turns on one tracker. Its update loop
+        is :func:`perturb_observe_updates`, which skips the repeats of an
+        exact limit cycle for library harvesters only (pure ``power_at``);
+        a user harvester gets every update. The closure twins the
+        :meth:`step` defined here, so when a subclass overrides it or a
+        wrapper replaces it on the class (an instrumenting tracer, say),
+        the lowering is the bound ``step`` that is actually installed.
+        """
+        from ..simulation.kernel.protocol import is_library_harvester
+        if type(self).step is not _PERTURB_OBSERVE_STEP:
+            return self.step
+        tracker = self
+        memo_harvester = None
+        memo_pure = False
+
+        def step(harvester: Harvester, ambient: float,
+                 dt: float) -> TrackerStep:
+            nonlocal memo_harvester, memo_pure
+            voc = harvester.open_circuit_voltage(ambient)
+            if voc <= 0:
+                tracker._voltage = None
+                tracker._last_power = None
+                return TrackerStep(0.0)
+            voltage = tracker._voltage
+            if voltage is None:
+                voltage = 0.5 * voc
+            period = tracker.update_period
+            elapsed = tracker._elapsed + dt
+            updates = int(elapsed / period)
+            tracker._elapsed = elapsed - updates * period
+            if updates:
+                if harvester is not memo_harvester:
+                    memo_harvester = harvester
+                    memo_pure = is_library_harvester(harvester)
+                voltage, tracker._last_power, tracker._direction = \
+                    perturb_observe_updates(
+                        harvester.power_at, ambient, voc,
+                        tracker.step_fraction, voltage, tracker._last_power,
+                        tracker._direction, min(updates, 64), memo_pure)
+            tracker._voltage = voltage
+            return TrackerStep(voltage)
+
+        return step
+
+    # ------------------------------------------------------------------
     # Batched lowering (see repro.simulation.kernel.batched)
     # ------------------------------------------------------------------
     def lower_batched(self, dt: float, siblings):
@@ -234,7 +356,12 @@ class PerturbObserve(MPPTracker):
         the batched I-V surface's ``power_at_row``. Every mask mirrors
         a branch or early return of the scalar update law, and the
         ``None`` sentinels become explicit has-value masks, so each
-        lane's voltage walk is bit-identical to its scalar run.
+        lane's voltage walk is bit-identical to its scalar run. The
+        limit-cycle fast-forward of :func:`perturb_observe_updates` runs
+        per lane: every :data:`CYCLE_LAG` updates, a lane whose state
+        repeats the state one lag earlier cuts its remaining update
+        budget to the remainder, and the row's update loop ends once no
+        lane has budget left.
         """
         import numpy as np
         from ..simulation.kernel.batched import (
@@ -278,9 +405,23 @@ class PerturbObserve(MPPTracker):
                     updates = np.where(alive,
                                        np.trunc(elapsed / period), 0.0)
                     elapsed = elapsed - updates * period
-                    ucap = np.minimum(updates, 64.0)
-                    for k in range(int(ucap.max())):
-                        act = ucap > k
+                    budget = np.minimum(updates, 64.0)
+                    n_upd = int(budget.max())
+                    k = 0
+                    while k < n_upd:
+                        if k % CYCLE_LAG == 0:
+                            if k:
+                                budget = _cycle_budgets(
+                                    budget, k, mark_hp & (volt == mark_v) &
+                                    (last_p == mark_p) &
+                                    (direction == mark_d))
+                                n_upd = int(budget.max())
+                                if k >= n_upd:
+                                    break
+                            mark_v, mark_p = volt, last_p
+                            mark_d, mark_hp = direction, has_p
+                        act = budget > k
+                        k += 1
                         power = surface.power_at_row(i, volt)
                         flip = act & has_p & (power < last_p)
                         direction = np.where(flip, -direction, direction)
@@ -311,6 +452,10 @@ class PerturbObserve(MPPTracker):
                 return TrackerSchedule(voltage, writeback=writeback)
 
         return _PandOPrepare()
+
+
+#: The update law :meth:`PerturbObserve.lower_kernel` twins.
+_PERTURB_OBSERVE_STEP = PerturbObserve.step
 
 
 @register("tracker", "fractional_voc")
@@ -515,7 +660,9 @@ class IncrementalConductance(MPPTracker):
         row by row — with the slope test evaluated through the surface's
         ``current_at_row``. The ``di_dv == target_slope`` equality branch
         keeps the *stored* (possibly unclamped) voltage, exactly like
-        the scalar update law.
+        the scalar update law. The update law reads only the stored
+        voltage, so the P&O replay's per-lane limit-cycle fast-forward
+        applies with the voltage as the whole state.
         """
         import numpy as np
         from ..simulation.kernel.batched import (
@@ -553,9 +700,20 @@ class IncrementalConductance(MPPTracker):
                     updates = np.where(alive,
                                        np.trunc(elapsed / period), 0.0)
                     elapsed = elapsed - updates * period
-                    ucap = np.minimum(updates, 64.0)
-                    for k in range(int(ucap.max())):
-                        act = ucap > k
+                    budget = np.minimum(updates, 64.0)
+                    n_upd = int(budget.max())
+                    k = 0
+                    while k < n_upd:
+                        if k % CYCLE_LAG == 0:
+                            if k:
+                                budget = _cycle_budgets(budget, k,
+                                                       volt == mark_v)
+                                n_upd = int(budget.max())
+                                if k >= n_upd:
+                                    break
+                            mark_v = volt
+                        act = budget > k
+                        k += 1
                         v = np.minimum(np.maximum(volt, 1e-6), voc)
                         dv = np.maximum(probe_frac * voc, 1e-9)
                         i0 = surface.current_at_row(i, v)

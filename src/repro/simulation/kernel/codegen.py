@@ -7,12 +7,14 @@ output, P&O + buck-boost channels over library harvesters, a plain node
 and at most a zero-wakeup :class:`~repro.core.manager.StaticManager` —
 this module emits the whole step as straight-line Python over plain
 float locals: the supercapacitor three-branch physics, the buck-boost
-knee/fixed-point, the P&O hill climb and the node brown-out state
+knee/fixed-point, the P&O bookkeeping and the node brown-out state
 machine, with the hoisted run constants baked in as literals (no
-attribute access, no call dispatch in the hot loop). Only the leaf
-harvester physics (``open_circuit_voltage`` / ``power_at`` /
-``max_power``) remains as bound-method calls, behind pure single-slot
-memos keyed on the ambient value.
+attribute access, no call dispatch in the hot loop). The leaf harvester
+physics (``open_circuit_voltage`` / ``power_at`` / ``max_power``)
+remains as bound-method calls, behind pure single-slot memos keyed on
+the ambient value, and the P&O control updates go through the scalar
+kernel's limit-cycle fast-forward,
+:func:`~repro.conditioning.mppt.perturb_observe_updates`.
 
 A plan outside that envelope makes :func:`prepare_codegen` raise
 :exc:`~.protocol.LoweringUnsupported` naming the first component the
@@ -45,8 +47,9 @@ import math
 import time as _time
 
 from ...conditioning.base import HarvestStep
+from ...conditioning.mppt import perturb_observe_updates
 from ...load.node import NodeState
-from .protocol import LoweringUnsupported
+from .protocol import LoweringUnsupported, is_library_harvester
 
 __all__ = ["prepare_codegen", "codegen_stats", "clear_codegen_cache"]
 
@@ -133,6 +136,7 @@ _CTX = {
     "REBOOTING": NodeState.REBOOTING,
     "HarvestStep": HarvestStep,
     "sqrt": math.sqrt,
+    "po_updates": perturb_observe_updates,
 }
 
 
@@ -268,7 +272,7 @@ def _fused_config(plan, has_cols) -> dict:
         _require(tracker, PerturbObserve)
         cconv = cond.converter
         _require(cconv, BuckBoostConverter)
-        if not type(ch.harvester).__module__.startswith("repro.harvesters"):
+        if not is_library_harvester(ch.harvester):
             raise _outside(ch.harvester, "is not a library harvester, "
                                          "whose physics the fused memos "
                                          "assume pure")
@@ -420,6 +424,7 @@ def _emit_fused(c) -> str:
     A("    REBOOTING = ctx['REBOOTING']")
     A("    HarvestStep = ctx['HarvestStep']")
     A("    sqrt = ctx['sqrt']")
+    A("    po_updates = ctx['po_updates']")
     A("    _int = int")
     A("    _min = min")
     A("    _max = max")
@@ -459,12 +464,8 @@ def _emit_fused(c) -> str:
         A("    mgr_passes = mgr.control_passes")
         A("    mgr_spent = mgr.energy_spent_j")
     for k in range(len(c["channels"])):
-        A(f"    _tv = tr_{k}._voltage")
-        A(f"    thasv_{k} = _tv is not None")
-        A(f"    tv_{k} = _tv if thasv_{k} else 0.0")
-        A(f"    _tp = tr_{k}._last_power")
-        A(f"    thasp_{k} = _tp is not None")
-        A(f"    tlp_{k} = _tp if thasp_{k} else 0.0")
+        A(f"    tv_{k} = tr_{k}._voltage")
+        A(f"    tlp_{k} = tr_{k}._last_power")
         A(f"    tdir_{k} = tr_{k}._direction")
         A(f"    tel_{k} = tr_{k}._elapsed")
         A(f"    vochas_{k} = False")
@@ -503,7 +504,8 @@ def _emit_fused(c) -> str:
     for k, ch in enumerate(c["channels"]):
         value = f"av_{k}[i]" if ch["has_col"] else "0.0"
         A(f"        av = {value}")
-        # P&O hill climb, inlined; Voc behind a pure single-slot memo.
+        # P&O step bookkeeping, inlined; Voc behind a pure single-slot
+        # memo; the control updates fast-forward exact limit cycles.
         A(f"        if vochas_{k} and av == vockey_{k}:")
         A(f"            voc = vocval_{k}")
         A("        else:")
@@ -512,26 +514,21 @@ def _emit_fused(c) -> str:
         A(f"            vocval_{k} = voc")
         A(f"            vochas_{k} = True")
         A("        if voc <= 0.0:")
-        A(f"            thasv_{k} = False")
-        A(f"            thasp_{k} = False")
+        A(f"            tv_{k} = None")
+        A(f"            tlp_{k} = None")
         A(f"            tvolt_{k} = 0.0")
         A("        else:")
-        A(f"            if not thasv_{k}:")
+        A(f"            if tv_{k} is None:")
         A(f"                tv_{k} = 0.5 * voc")
-        A(f"                thasv_{k} = True")
         A(f"            tel_{k} += {DT}")
         A(f"            updates = _int(tel_{k} / {ch['period']})")
         A(f"            tel_{k} -= updates * {ch['period']}")
-        A("            if updates > 64:")
-        A("                updates = 64")
-        A("            for _u in range(updates):")
-        A(f"                power = h_pat_{k}(tv_{k}, av)")
-        A(f"                if thasp_{k} and power < tlp_{k}:")
-        A(f"                    tdir_{k} = -tdir_{k}")
-        A(f"                tlp_{k} = power")
-        A(f"                thasp_{k} = True")
-        A(f"                tv_{k} += tdir_{k} * {ch['frac']} * voc")
-        A(f"                tv_{k} = _min(_max(tv_{k}, 0.0), voc)")
+        A("            if updates:")
+        A("                if updates > 64:")
+        A("                    updates = 64")
+        A(f"                tv_{k}, tlp_{k}, tdir_{k} = po_updates(")
+        A(f"                    h_pat_{k}, av, voc, {ch['frac']}, tv_{k}, "
+          f"tlp_{k}, tdir_{k}, updates)")
         A(f"            tvolt_{k} = tv_{k}")
         # Single-slot MPP memo (the scalar kernel's, flag-based).
         A(f"        if mhas_{k} and av == mkey_{k}:")
@@ -720,8 +717,8 @@ def _emit_fused(c) -> str:
         A("        mgr.control_passes = mgr_passes")
         A("        mgr.energy_spent_j = mgr_spent")
     for k in range(len(c["channels"])):
-        A(f"        tr_{k}._voltage = tv_{k} if thasv_{k} else None")
-        A(f"        tr_{k}._last_power = tlp_{k} if thasp_{k} else None")
+        A(f"        tr_{k}._voltage = tv_{k}")
+        A(f"        tr_{k}._last_power = tlp_{k}")
         A(f"        tr_{k}._direction = tdir_{k}")
         A(f"        tr_{k}._elapsed = tel_{k}")
         A(f"        ch_{k}.last_step = HarvestStep(raw_{k}, del_{k}, "

@@ -44,6 +44,7 @@ __all__ = [
     "KernelFallback",
     "ensure_unmodified",
     "overridden_methods",
+    "is_library_harvester",
     "StoreLowering",
     "BankLowering",
     "ChannelLowering",
@@ -160,6 +161,19 @@ def ensure_unmodified(obj, base: type, *names: str) -> None:
             component=type(obj).__name__,
             capability=f"unmodified {base.__name__} physics",
             divergence="every step")
+
+
+def is_library_harvester(harvester) -> bool:
+    """Whether ``harvester``'s class is defined in :mod:`repro.harvesters`.
+
+    Library harvesters are pure in ``(voltage, ambient)``: their I-V and
+    MPP methods keep no state a call could change. Lowerings that skip
+    or memoize harvester calls (the kernel's MPP memo, the P&O limit-
+    cycle fast-forward, the fused codegen memos) engage only for them; a
+    user harvester class may count or randomize its calls and so keeps
+    every call.
+    """
+    return type(harvester).__module__.startswith("repro.harvesters")
 
 
 class StoreLowering:

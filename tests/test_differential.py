@@ -49,7 +49,7 @@ from repro.conditioning.mppt import (
 )
 from repro.core.manager import ThresholdManager
 from repro.environment.composite import outdoor_environment
-from repro.harvesters import PhotovoltaicCell
+from repro.harvesters import MicroWindTurbine, PhotovoltaicCell
 from repro.simulation import (
     ScenarioSpec,
     SweepRunner,
@@ -454,6 +454,88 @@ class TestFuzzedEventDifferential:
             assert store.energy_j == ref_store.energy_j
         assert result.system.node.total_measurements == \
             reference.system.node.total_measurements
+
+
+#: Number of fuzzed plateau-harvester cases (see :func:`fuzz_plateau_case`).
+PLATEAU_CASES = 6
+
+#: Seeds per plateau case; they run as the lanes of one batched group.
+PLATEAU_LANES = 4
+
+
+def fuzz_plateau_case(index: int):
+    """One fuzzed wind-turbine platform under a hill climb — pure in index.
+
+    The turbine's power ceiling flattens the top of its P-V curve into a
+    plateau, so a hill climb on it may cycle with a long period or never
+    repeat, where on a PV hill it settles into a short cycle. The tracker
+    (P&O or IncCond) runs at dt >= 300 s, so every live step's budget
+    hits the 64-update cap, and the case's seeds run as the lanes of one
+    batched group, whose wind traces make each lane cycle, or not, at its
+    own update.
+    """
+    rng = random.Random(0x91A7 * 1000 + index)
+    hill_climb = rng.choice(("perturb-observe", "incremental-cond"))
+    step = round(rng.uniform(0.005, 0.1), 4)
+    turbine = {"rotor_diameter_m": round(rng.uniform(0.08, 0.3), 3),
+               "power_coefficient": round(rng.uniform(0.03, 0.15), 3),
+               "kv": round(rng.uniform(0.5, 2.0), 3),
+               "internal_resistance": round(rng.uniform(10.0, 60.0), 2)}
+    mean_wind = round(rng.uniform(3.0, 8.0), 2)
+    dt = rng.choice((300.0, 600.0, 900.0))
+    seeds = [rng.randrange(1 << 20) for _ in range(PLATEAU_LANES)]
+
+    def make_tracker():
+        if hill_climb == "perturb-observe":
+            return PerturbObserve(step_fraction=step)
+        return IncrementalConductance(step_fraction=step,
+                                      probe_fraction=step / 4.0)
+
+    def build_system():
+        return make_reference_system([MicroWindTurbine(**turbine)],
+                                     tracker_factory=make_tracker)
+
+    envf = partial(outdoor_environment, duration=DAY, dt=300.0,
+                   mean_wind=mean_wind)
+    return build_system, envf, dt, seeds
+
+
+class TestFuzzedPlateauDifferential:
+    """Hill climbs on a plateau harvester: legacy == kernel == batched,
+    and == codegen where the shape is fused (P&O), bit for bit."""
+
+    def test_plateau_corpus_is_deterministic(self):
+        a = [fuzz_plateau_case(i)[2:] for i in range(PLATEAU_CASES)]
+        b = [fuzz_plateau_case(i)[2:] for i in range(PLATEAU_CASES)]
+        assert a == b
+
+    @pytest.mark.parametrize("index", range(PLATEAU_CASES))
+    def test_plateau_lanes_agree_across_tiers(self, index):
+        build_system, envf, dt, seeds = fuzz_plateau_case(index)
+        captured = {}
+        scenarios = [ScenarioSpec(
+            name=f"plateau{index}-{seed}", system=build_system,
+            environment=envf, dt=dt, seed=seed,
+            collect=partial(captured.__setitem__, seed)) for seed in seeds]
+        rows = SweepRunner(processes=1, batch=True).run(scenarios)
+        assert [row.execution_path for row in rows] == \
+            ["batched"] * len(seeds)
+        fused = fused_refusal(build_system(), dt) is None
+        for seed, row in zip(seeds, rows):
+            env = envf(seed=seed)
+            legacy = simulate(build_system(), env, dt=dt, fast=False)
+            kernel = simulate(build_system(), env, dt=dt, fast=True)
+            codegen = simulate(build_system(), env, dt=dt, fast="codegen")
+            assert kernel.execution_path == "kernel"
+            assert codegen.execution_path == \
+                ("codegen" if fused else "kernel")
+            label = f"plateau{index} seed {seed}"
+            for other, tier in ((kernel, "kernel"), (codegen, "codegen"),
+                                (captured[seed], "batched")):
+                assert_bitwise_equal(other.recorder, legacy.recorder,
+                                     f"{label} {tier}")
+                assert other.metrics == legacy.metrics
+            assert row.metrics == legacy.metrics
 
 
 # ---------------------------------------------------------------------------
