@@ -110,11 +110,19 @@ class Manifest:
         return iter(self.records)
 
     def append(self, record: ManifestRecord) -> None:
-        """Durably append one record (memory and file stay in sync)."""
-        line = json.dumps(record.to_dict(), sort_keys=True)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line)
-            handle.write("\n")
+        """Durably append one record (memory and file stay in sync).
+
+        A crash mid-append leaves a torn last line without its newline;
+        it is terminated first, so the new record lands on a line of its
+        own and survives a reload. The line goes out in one ``write``.
+        """
+        line = json.dumps(record.to_dict(), sort_keys=True) + "\n"
+        with open(self.path, "a+b") as handle:
+            if handle.seek(0, 2) > 0:
+                handle.seek(-1, 2)
+                if handle.read(1) != b"\n":
+                    line = "\n" + line
+            handle.write(line.encode("utf-8"))
             handle.flush()
         self._admit(record)
 

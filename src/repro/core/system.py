@@ -134,15 +134,23 @@ class HarvestingChannel:
             BatchedChannelLowering,
             same_class,
         )
-        from ..simulation.kernel.protocol import ensure_unmodified
+        from ..simulation.kernel.protocol import (
+            LoweringUnsupported,
+            ensure_unmodified,
+        )
         same_class(siblings, "channel")
         for channel in siblings:
             ensure_unmodified(channel, HarvestingChannel, "step",
                               "swap_harvester")
         conditioners = [c.conditioner for c in siblings]
         harvesters = [c.harvester for c in siblings]
+        lower_cond = getattr(conditioners[0], "lower_batched", None)
+        if lower_cond is None:
+            raise LoweringUnsupported(
+                f"channel {self.name!r}: conditioner "
+                f"{type(conditioners[0]).__name__} has no batched lowering")
         tracker_prepare, surface_builder, converter_out = \
-            conditioners[0].lower_batched(dt, conditioners, harvesters)
+            lower_cond(dt, conditioners, harvesters)
         flags = [bool(c.enabled) for c in siblings]
         if all(flags):
             enabled = True
@@ -362,8 +370,10 @@ class StorageBank:
     def lower_kernel(self, dt: float):
         """Lowered bank: routing composed over the stores' lowerings.
 
-        Every store must lower (chemistry-specific hooks, see
-        :meth:`repro.storage.EnergyStorage.lower_kernel`); the charge
+        Every store lowers (chemistry-specific hooks or its own
+        methods, see :meth:`repro.storage.EnergyStorage.lower_kernel`),
+        and the bank calls them in :meth:`charge`/:meth:`discharge`/
+        :meth:`idle`'s order with their arguments; the charge
         cascade, diode-OR bus voltage, highest-voltage-first discharge
         and backup fallback are inlined here. The ambient/backup
         partition is hoisted — membership changes only through
@@ -1064,11 +1074,12 @@ class MultiSourceSystem:
         """Lower every component of this platform for the kernel.
 
         Raises :exc:`~repro.simulation.kernel.protocol.
-        LoweringUnsupported` when any component genuinely has no
-        lowering, in which case the engine runs the legacy per-step
-        path. The platform's standing current is hoisted here: no
-        manager can change it mid-run, and scheduled events (which can,
-        via hot-swaps) recompile the plan.
+        LoweringUnsupported` only for orchestration the kernel replicates
+        and a subclass overrides (this class's :meth:`step`, the bank's
+        routing, a channel's or conditioner's step), in which case the
+        engine runs the legacy per-step path. The platform's standing
+        current is hoisted here: no manager can change it mid-run, and
+        scheduled events (which can, via hot-swaps) recompile the plan.
         """
         from ..simulation.kernel.protocol import (
             LoweringUnsupported,
@@ -1134,13 +1145,23 @@ class MultiSourceSystem:
             if len(system.channels) != n_channels:
                 raise LoweringUnsupported(
                     "systems in a batch must share the channel count")
-        bank = self.bank.lower_batched(dt, [s.bank for s in siblings])
-        output = self.output.lower_batched(dt, [s.output for s in siblings])
+
+        def lower_or_refuse(group, role: str):
+            lower = getattr(group[0], "lower_batched", None)
+            if lower is None:
+                raise LoweringUnsupported(
+                    f"{role} {type(group[0]).__name__} has no batched "
+                    f"lowering")
+            return lower(dt, group)
+
+        bank = lower_or_refuse([s.bank for s in siblings], "storage bank")
+        output = lower_or_refuse([s.output for s in siblings],
+                                 "output stage")
         channels = tuple(
-            self.channels[position].lower_batched(
-                dt, [s.channels[position] for s in siblings])
+            lower_or_refuse([s.channels[position] for s in siblings],
+                            "channel")
             for position in range(n_channels))
-        node = self.node.lower_batched(dt, [s.node for s in siblings])
+        node = lower_or_refuse([s.node for s in siblings], "node")
         managers = [s.manager for s in siblings]
         if all(m is None for m in managers):
             manager = None

@@ -216,14 +216,10 @@ class WirelessSensorNode:
 
         The node's brown-out/reboot state machine runs through its own
         (already memoized) methods inside the kernel, so the bound
-        methods are the lowering — exact for this class; a subclass
-        that overrides the state machine has no lowering and drops the
-        system to the legacy path.
+        methods are the lowering — exact for this class and for any
+        subclass that overrides the state machine.
         """
-        from ..simulation.kernel.protocol import NodeLowering, \
-            ensure_unmodified
-        ensure_unmodified(self, WirelessSensorNode, "demand_power", "step",
-                          "measurement_energy", "_reboot_power")
+        from ..simulation.kernel.protocol import NodeLowering
         return NodeLowering(self, self.demand_power, self.step)
 
     # ------------------------------------------------------------------

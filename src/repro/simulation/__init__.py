@@ -6,9 +6,10 @@ Execution paths
 environment; by default (``fast="auto"``) the composable kernel
 (:mod:`repro.simulation.kernel`) lowers every component to specialized
 per-step closures and executes with bit-for-bit identical results —
-all seven Table I systems are inside its envelope. ``fast=True``
-requires the kernel (raising :exc:`KernelFallback` if a mid-run event
-leaves it), ``fast=False`` forces the legacy per-step path, and
+every system whose orchestration classes (system, bank, channels,
+conditioners) are the library's own is inside its envelope, whatever
+its stores, harvesters, node or manager. ``fast=True`` requires the
+kernel, ``fast=False`` forces the legacy per-step path, and
 :attr:`SimulationResult.execution_path` reports which path actually
 ran. :class:`SweepRunner` fans whole grids of :class:`ScenarioSpec`
 across worker processes for the comparative studies.
@@ -18,7 +19,6 @@ from .engine import SimulationResult, Simulator, simulate
 from .events import EventSchedule, SimEvent, swap_harvester_event, swap_storage_event
 from .kernel import (
     CapabilityReport,
-    KernelFallback,
     KernelPlan,
     LoweringUnsupported,
     batch_capability_report,
@@ -61,6 +61,5 @@ __all__ = [
     "replicate_sweep",
     "run_ensemble",
     "KernelPlan",
-    "KernelFallback",
     "LoweringUnsupported",
 ]

@@ -22,11 +22,12 @@ Two execution paths produce bit-for-bit identical results:
   :class:`~repro.environment.CompiledEnvironment`, every component
   lowered to specialized per-step closures
   (:mod:`repro.simulation.kernel`), and the hot loop writing the
-  recorder's columnar arrays directly. All seven Table I systems lower;
-  a system with a component that has no lowering (e.g. a user subclass
-  overriding storage physics) falls back to the legacy path
-  transparently under ``fast="auto"`` — and *loudly* under
-  ``fast=True``, which raises instead of quietly degrading.
+  recorder's columnar arrays directly. Every store, harvester, tracker,
+  node and manager lowers — subclasses through their own methods — so
+  only an orchestration subclass (a system, bank, channel or
+  conditioner overriding the step phases the kernel replicates) stays
+  on the legacy path: chosen before step 0 under ``fast="auto"``, a
+  ``ValueError`` under ``fast=True``.
 
 A third tier, ``fast="codegen"``, compiles the *same* kernel plan one
 step further for one platform shape: :mod:`repro.simulation.kernel.codegen`
@@ -64,9 +65,9 @@ class SimulationResult:
         self.recorder = recorder
         self.metrics = metrics
         #: Which engine path actually ran: ``"kernel"``, ``"legacy"``,
-        #: ``"kernel+legacy"`` (a mid-run event forced a fallback), or —
-        #: under ``fast="codegen"`` on the fused shape — ``"codegen"`` /
-        #: ``"codegen+kernel"`` / ``"codegen+kernel+legacy"``.
+        #: or — under ``fast="codegen"`` on the fused shape —
+        #: ``"codegen"`` / ``"codegen+kernel"`` (an event handed the
+        #: rest of the segment to the scalar kernel).
         self.execution_path = execution_path
         #: Under ``fast="codegen"``, the :class:`~repro.simulation.
         #: kernel.protocol.CapabilityReport` naming the first component
@@ -98,13 +99,11 @@ class Simulator:
         Override simulation step, seconds.
     fast:
         ``"auto"`` (default) compiles the system onto the kernel
-        (:mod:`repro.simulation.kernel`) when every component lowers,
-        and falls back to the legacy per-step path otherwise — including
-        mid-run, when a scheduled event swaps in a component without a
-        lowering. ``True`` *requires* the kernel: construction raises
-        ``ValueError`` for an ineligible system, and a mid-run fallback
-        raises :exc:`~repro.simulation.kernel.KernelFallback` instead of
-        silently degrading. ``False`` forces the legacy path.
+        (:mod:`repro.simulation.kernel`) and runs the legacy per-step
+        path only for a system with an orchestration subclass, decided
+        before step 0. ``True`` *requires* the kernel: construction
+        raises ``ValueError`` for such a system. ``False`` forces the
+        legacy path.
         ``"codegen"`` prefers the fused compiled tier
         (:mod:`repro.simulation.kernel.codegen`): on the fused platform
         shape the kernel plan is emitted as one flat step function and
@@ -114,7 +113,10 @@ class Simulator:
         :attr:`SimulationResult.codegen_fallback`. All
         paths produce bit-for-bit identical recorded columns; the path
         that actually ran is reported as :attr:`SimulationResult.
-        execution_path` / :attr:`last_execution_path`.
+        execution_path` / :attr:`last_execution_path`. On every
+        compiled path, a scheduled event that installs an orchestration
+        subclass mid-run raises :exc:`~repro.simulation.kernel.
+        protocol.LoweringUnsupported` naming it.
     """
 
     def __init__(self, system: MultiSourceSystem, environment: Environment,
@@ -186,8 +188,6 @@ class Simulator:
         recorder = Recorder(dt, keep_records=plan is None)
         recorder.reserve(n_steps, len(system.bank.stores),
                          len(system.channels))
-        i = 0
-        path = "legacy"
         if plan is not None:
             compiled = CompiledEnvironment(
                 self.environment, t0, n_steps, dt,
@@ -198,30 +198,28 @@ class Simulator:
                     runner = prepare_codegen(plan, compiled)
                 except LoweringUnsupported as exc:
                     codegen_fallback = exc.capability_report()
+            i = 0
             if runner is not None:
                 # Fused tier first; an event boundary hands the
                 # remainder of the segment to the scalar kernel, which
-                # fires the event and carries on (or peels to legacy).
+                # fires the event and carries on.
                 i = runner(self.events, recorder, n_steps)
             if i == n_steps:
                 path = "codegen"
             else:
-                i = run_plan(plan, compiled, self.events, recorder,
-                             n_steps, dt, strict=self.fast is True, start=i)
-                path = "kernel" if i == n_steps else "kernel+legacy"
-                if runner is not None:
-                    path = "codegen+" + path
-        # Legacy per-step path — also the landing strip when an event
-        # pushed the system outside the kernel's envelope mid-run.
-        environment, events = self.environment, self.events
-        while i < n_steps:
-            t = t0 + (self._steps_done + i) * dt
-            for event in events.due(t):
-                event.action(system)
-            ambient = environment.sample(t)
-            record = system.step(ambient, dt, t)
-            recorder.append(record)
-            i += 1
+                run_plan(plan, compiled, self.events, recorder, n_steps,
+                         dt, start=i)
+                path = "kernel" if runner is None else "codegen+kernel"
+        else:
+            path = "legacy"
+            environment, events = self.environment, self.events
+            for i in range(n_steps):
+                t = t0 + (self._steps_done + i) * dt
+                for event in events.due(t):
+                    event.action(system)
+                ambient = environment.sample(t)
+                record = system.step(ambient, dt, t)
+                recorder.append(record)
         self._steps_done += n_steps
         self.last_execution_path = path
         return SimulationResult(system, recorder, compute_metrics(recorder),

@@ -20,11 +20,10 @@ so component modules can import it without cycles); the plan layer loads
 on first attribute access.
 """
 
-from .protocol import CapabilityReport, KernelFallback, LoweringUnsupported
+from .protocol import CapabilityReport, LoweringUnsupported
 
 __all__ = [
     "CapabilityReport",
-    "KernelFallback",
     "LoweringUnsupported",
     "KernelPlan",
     "eligible",

@@ -30,16 +30,16 @@ Results are **bit-for-bit identical per scenario** to the scalar kernel
   functions elementwise. Plain arithmetic, ``np.sqrt``, and
   ``np.searchsorted`` are exact matches and stay vectorized.
 
-Eligibility is per component, exactly like the scalar kernel: a
-component type without a batched lowering (``lower_batched`` hooks
-raising :exc:`LoweringUnsupported`) drops the *scenario* back to the
-per-scenario path — never the whole sweep. The envelope covers all
-seven Table I systems: bus/MCU platforms (pre-run transaction energy is
-hoisted and drained on the first step), backup-store cascades (fuel
-cells, primary cells — per-lane ``backup_enabled`` masks), stateful
-hill-climbing trackers (P&O, incremental conductance — replayed as
-per-lane schedule columns), and the periodic managers (vectorized
-counter machine + SoC-gated policy).
+Eligibility is per component: a component without a batched lowering
+(``lower_batched`` hooks raising :exc:`LoweringUnsupported`, as they do
+for every subclass that overrides the physics they vectorize) drops the
+*scenario* back to the per-scenario path — never the whole sweep. The
+envelope covers all seven Table I systems: bus/MCU platforms (pre-run
+transaction energy is hoisted and drained on the first step),
+backup-store cascades (fuel cells, primary cells — per-lane
+``backup_enabled`` masks), stateful hill-climbing trackers (P&O,
+incremental conductance — replayed as per-lane schedule columns), and
+the periodic managers (vectorized counter machine + SoC-gated policy).
 
 Scheduled events run under a **masked-lane execution model**
 (:func:`run_batched`): the grid steps in lockstep between *event
@@ -49,9 +49,8 @@ re-lowers and rejoins lockstep. Write-back/re-gather equality is
 enforced for untouched lanes at every rejoin. Lanes whose events push
 them outside the envelope *peel* into a scalar side-channel — their
 recorder prefix is filled from the batch buffers and the remaining
-steps run on the scalar kernel (``run_plan(start=...)``) or, failing
-that, the legacy per-step loop — while the surviving lanes keep the
-lockstep speedup.
+steps run on the scalar kernel (``run_plan(start=...)``) — while the
+surviving lanes keep the lockstep speedup.
 """
 
 from __future__ import annotations
@@ -474,24 +473,14 @@ class BatchedPlan:
         """Lower a group of same-topology systems for lockstep stepping.
 
         Raises :exc:`LoweringUnsupported` when any component has no
-        batched lowering — the sweep runner then routes the group
-        through the per-scenario path.
+        batched lowering — including every subclass the scalar kernel
+        runs through its own methods (each batched lowering carries its
+        component's override guards) — and the sweep runner then routes
+        the group through the per-scenario path.
         """
         systems = list(systems)
         if not systems:
             raise ValueError("cannot compile an empty scenario group")
-        # Every system must lower on the scalar kernel first: that runs
-        # the full ensure_unmodified guard set, so subclassed physics is
-        # refused here exactly as it is on the per-scenario fast path.
-        for system in systems:
-            lower_scalar = getattr(system, "lower_kernel", None)
-            if lower_scalar is None:
-                raise LoweringUnsupported(
-                    f"{type(system).__name__} has no kernel lowering",
-                    component=type(system).__name__,
-                    capability="kernel lowering hook",
-                    divergence="every step")
-            lower_scalar(dt)
         lower = getattr(systems[0], "lower_batched", None)
         if lower is None:
             raise LoweringUnsupported(
@@ -753,11 +742,11 @@ def run_batched(plan: BatchedPlan, compileds, recorders, n_steps: int,
     envelope peels into the scalar side-channel: its recorder prefix is
     filled from the batch buffers and the remaining steps run through
     :func:`~repro.simulation.kernel.plan.run_plan` (``start=`` the peel
-    step) or, beyond the scalar envelope, the legacy per-step loop.
+    step), which raises :exc:`LoweringUnsupported` if the lane's event
+    installed an orchestration subclass.
 
     Returns one execution-path string per lane: ``"batched"`` for
-    lockstep end-to-end, ``"batched+kernel"`` / ``"batched+legacy"`` /
-    ``"batched+kernel+legacy"`` for peeled lanes.
+    lockstep end-to-end, ``"batched+kernel"`` for peeled lanes.
     """
     from ..events import EventSchedule
     from .plan import KernelPlan, run_plan
@@ -896,71 +885,30 @@ def run_batched(plan: BatchedPlan, compileds, recorders, n_steps: int,
         }
         seg_start = horizon
 
-    # Scalar side-channel for peeled lanes: prefix from the batch
-    # buffers, remainder on the scalar kernel (or the legacy loop).
-    def finish_peeled(lane: int, resume: int) -> str:
-        system = plan.systems[lane]
-        recorder = recorders[lane]
-        sched = schedules[lane]
-        if sched is None:
-            sched = EventSchedule()
+    # Slice the batch buffers into each lane's recorder: the whole run
+    # for lockstep lanes, the prefix for peeled ones, whose remainder
+    # the scalar kernel runs as a side-channel.
+    peeled_at = dict(peels)
+    for s, recorder in enumerate(recorders):
+        resume = peeled_at.get(s, n_steps)
         recorder.reserve(n_steps, n_stores, n_channels)
         scalars, state_arr, store_e, store_v, chan_p, base = \
             recorder.columns_for_writing()
         end = base + resume
         scalars["t"][base:end] = times[:resume]
         for name, buf in buffers.items():
-            scalars[name][base:end] = buf[:resume, lane]
-        state_arr[base:end] = state_buf[:resume, lane]
-        store_e[base:end] = store_e_buf[:resume, lane, :]
-        store_v[base:end] = store_v_buf[:resume, lane, :]
-        chan_p[base:end] = chan_buf[:resume, lane, :]
-        done = resume
-        path = "batched"
-        try:
-            kplan = KernelPlan.compile(system, dt)
-        except LoweringUnsupported:
-            kplan = None
-            recorder.commit(resume)
-        if kplan is not None:
-            done = run_plan(kplan, compileds[lane], sched, recorder,
-                            n_steps, dt, start=resume)
-            path = "batched+kernel"
-        if done < n_steps:
-            # Legacy landing strip — the engine's fallback loop, fed by
-            # the compiled window (sample-for-sample identical to the
-            # raw environment).
-            compiled = compileds[lane]
-            while done < n_steps:
-                t = times[done]
-                for event in sched.due(t):
-                    event.action(system)
-                record = system.step(compiled.sample(done), dt, t)
-                recorder.append(record)
-                done += 1
-            path = "batched+legacy" if path == "batched" \
-                else "batched+kernel+legacy"
-        return path
-
-    peeled_at = dict(peels)
-    for s, recorder in enumerate(recorders):
-        resume = peeled_at.get(s)
-        if resume is not None:
-            paths[s] = finish_peeled(s, resume)
+            scalars[name][base:end] = buf[:resume, s]
+        state_arr[base:end] = state_buf[:resume, s]
+        store_e[base:end] = store_e_buf[:resume, s, :]
+        store_v[base:end] = store_v_buf[:resume, s, :]
+        chan_p[base:end] = chan_buf[:resume, s, :]
+        if resume == n_steps:
+            recorder.commit(n_steps)
             continue
-        # Full-lockstep lane: slice the batch buffers into its recorder.
-        recorder.reserve(n_steps, n_stores, n_channels)
-        scalars, state_arr, store_e, store_v, chan_p, base = \
-            recorder.columns_for_writing()
-        end = base + n_steps
-        scalars["t"][base:end] = times
-        for name, buf in buffers.items():
-            scalars[name][base:end] = buf[:, s]
-        state_arr[base:end] = state_buf[:, s]
-        store_e[base:end] = store_e_buf[:, s, :]
-        store_v[base:end] = store_v_buf[:, s, :]
-        chan_p[base:end] = chan_buf[:, s, :]
-        recorder.commit(n_steps)
+        run_plan(KernelPlan.compile(plan.systems[s], dt), compileds[s],
+                 schedules[s] or EventSchedule(), recorder, n_steps, dt,
+                 start=resume)
+        paths[s] = "batched+kernel"
     return paths
 
 

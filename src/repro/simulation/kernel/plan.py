@@ -1,11 +1,14 @@
 """Kernel plan: compose per-component lowerings and drive the hot loop.
 
 :meth:`KernelPlan.compile` asks the system to lower itself (see
-:meth:`repro.core.MultiSourceSystem.lower_kernel`); each component either
-returns specialized closures or raises
-:exc:`~repro.simulation.kernel.protocol.LoweringUnsupported`, in which
-case the whole system runs on the legacy per-step path — speed is a
-property of the architecture, not of one special-cased platform shape.
+:meth:`repro.core.MultiSourceSystem.lower_kernel`); each component
+returns specialized closures — inlined arithmetic for library classes,
+its own bound methods for subclasses — so speed is a property of the
+architecture, not of one special-cased platform shape. Only an
+orchestration subclass (a system, bank, channel or conditioner
+overriding what :func:`run_plan` replicates) raises
+:exc:`~repro.simulation.kernel.protocol.LoweringUnsupported`; the engine
+decides that before step 0.
 
 :func:`run_plan` is the hot loop. It replicates
 :meth:`repro.core.MultiSourceSystem.step`'s orchestration expression by
@@ -13,17 +16,16 @@ expression (same phase order, same ``min``/``max`` tie behaviour, same
 accumulation order), calling the lowered closures instead of the
 component methods, and writes the recorder's preallocated columnar
 arrays directly — no per-step objects at all. Scheduled events are
-re-validated when they fire: the plan recompiles, and if the mutated
-system no longer lowers, the remaining steps are handed back to the
-engine's legacy loop (or :exc:`KernelFallback` is raised under
-``fast=True`` strict mode).
+re-validated when they fire: the plan recompiles, and an event that
+installs an orchestration subclass raises the recompile's
+:exc:`~repro.simulation.kernel.protocol.LoweringUnsupported`, naming it.
 """
 
 from __future__ import annotations
 
 from ...load.node import NodeState
 from ..recorder import STATE_DEAD, STATE_REBOOTING, STATE_RUNNING
-from .protocol import KernelFallback, LoweringUnsupported
+from .protocol import LoweringUnsupported
 
 __all__ = ["KernelPlan", "eligible", "why_ineligible", "run_plan"]
 
@@ -71,13 +73,11 @@ def why_ineligible(system, dt: float = 1.0) -> str | None:
 
 
 def run_plan(plan: KernelPlan, compiled, schedule, recorder, n_steps: int,
-             dt: float, strict: bool = False, start: int = 0) -> int:
-    """Run steps ``start .. n_steps - 1``; returns the number completed.
+             dt: float, start: int = 0) -> int:
+    """Run steps ``start .. n_steps - 1``; returns ``n_steps``.
 
-    Returns early (with the recorder committed up to the boundary) when a
-    fired event pushes the system outside the kernel envelope; the engine
-    finishes the segment on the legacy path. Under ``strict`` that
-    silent degradation raises :exc:`KernelFallback` instead.
+    Raises :exc:`LoweringUnsupported` when a fired event leaves a system
+    that no longer lowers (an orchestration subclass swapped in).
 
     ``start`` resumes a partially-written segment: the caller has already
     filled recorder rows ``0 .. start - 1`` (uncommitted) and stepped the
@@ -135,16 +135,7 @@ def run_plan(plan: KernelPlan, compiled, schedule, recorder, n_steps: int,
             for event in schedule.due(t):
                 event.action(system)
             next_event_t = schedule.next_time()
-            try:
-                plan = KernelPlan.compile(system, dt)
-            except LoweringUnsupported as exc:
-                if strict:
-                    raise KernelFallback(
-                        f"fast=True, but a scheduled event at t={t:g} s "
-                        f"pushed the system outside the kernel envelope: "
-                        f"{exc}") from exc
-                recorder.commit(i)
-                return i
+            plan = KernelPlan.compile(system, dt)
             (bank_voltage, bank_charge, bank_discharge, bank_idle,
              backup_energy, chans, out_needed, node_demand, node_step,
              control, tq, bus, stores) = bind(plan.lowering)

@@ -23,15 +23,20 @@ Contract for every lowering closure:
   devices, and scheduled events observe exactly the state they would see
   on the legacy path at every step boundary.
 * **Capability, not trust** — a lowering that inlines arithmetic must
-  refuse instances whose class overrides the methods being inlined
-  (:func:`ensure_unmodified`); such a component *genuinely has no
-  lowering* and the whole system falls back to the legacy path. Closures
-  that merely call a bound method (e.g. a tracker's ``step``) are exact
-  for any subclass and never refuse.
+  not inline it for instances whose class overrides the methods being
+  inlined (:func:`ensure_unmodified`). Such a component lowers to
+  closures that call its own methods with the arguments the legacy
+  step passes (a tracker's ``step``, a node's state machine, a store's
+  ``charge``/``discharge``/``step_idle``), which is exact for any
+  subclass. Only orchestration classes whose phases :func:`~repro.
+  simulation.kernel.plan.run_plan` replicates — a system, bank, channel
+  or conditioner subclass — have no such closure and refuse.
 
-A hook signals "no lowering" by raising :exc:`LoweringUnsupported`; the
-plan converts that into legacy fallback (or a hard error under
-``fast=True`` strict mode, see :exc:`KernelFallback`).
+A hook signals "no lowering" by raising :exc:`LoweringUnsupported`. The
+engine turns a refusal before step 0 into the legacy path (or a
+``ValueError`` under ``fast=True``); a refusal after a mid-run event
+propagates. The batched tier keeps every refusal, since per-lane method
+calls would defeat vectorization.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ from dataclasses import dataclass
 __all__ = [
     "CapabilityReport",
     "LoweringUnsupported",
-    "KernelFallback",
     "ensure_unmodified",
     "overridden_methods",
     "is_library_harvester",
@@ -87,7 +91,7 @@ class CapabilityReport:
 
 
 class LoweringUnsupported(Exception):
-    """A component has no kernel lowering; the system runs legacy.
+    """A component has no lowering on the tier that asked for one.
 
     Raise sites may attach structured identity (``component``,
     ``capability``, ``divergence``); :meth:`capability_report` always
@@ -120,16 +124,6 @@ class LoweringUnsupported(Exception):
         )
 
 
-class KernelFallback(RuntimeError):
-    """Raised under ``fast=True`` when a mid-run event pushes the system
-    outside the kernel envelope.
-
-    With ``fast="auto"`` the engine degrades to the legacy path
-    transparently; strict mode promised the kernel, so quietly running
-    an order of magnitude slower would be a lie — it raises instead.
-    """
-
-
 def _resolve(cls: type, name: str):
     """The attribute ``cls`` actually uses for ``name`` (MRO walk)."""
     for klass in cls.__mro__:
@@ -146,12 +140,14 @@ def overridden_methods(obj, base: type, *names: str) -> list:
 
 
 def ensure_unmodified(obj, base: type, *names: str) -> None:
-    """Refuse to lower an instance whose class overrides inlined methods.
+    """Refuse to inline methods an instance's class overrides.
 
     Raises :exc:`LoweringUnsupported` naming the offending methods — the
     subclass may legitimately change the physics the lowering would
-    inline, so the only safe answer is "no lowering" (the subclass can
-    define its own ``lower_kernel`` / ``_kernel_*`` hook to opt back in).
+    inline. A store's ``lower_kernel`` catches it and calls the store's
+    own methods; the batched tier and orchestration classes refuse (a
+    subclass can define its own ``lower_kernel`` / ``_kernel_*`` hook
+    to opt back in).
     """
     changed = overridden_methods(obj, base, *names)
     if changed:

@@ -107,8 +107,9 @@ class ScenarioResult:
     metrics: RunMetrics
     n_steps: int
     extras: dict
-    #: Engine path that actually ran this scenario ("kernel", "legacy",
-    #: or "kernel+legacy" after a mid-run fallback).
+    #: Engine path that actually ran this scenario: the engine's
+    #: ("kernel", "legacy", "codegen", "codegen+kernel") or the batched
+    #: tier's ("batched", "batched+kernel" for a lane peeled mid-run).
     execution_path: str = "legacy"
 
     def row(self) -> dict:

@@ -179,19 +179,45 @@ class EnergyStorage(abc.ABC):
         Composed from four hooks — :meth:`_kernel_voltage`,
         :meth:`_kernel_charge`, :meth:`_kernel_discharge`,
         :meth:`_kernel_idle` — so a chemistry overrides only the physics
-        it specializes. Each hook either returns a closure that is
-        bit-for-bit equivalent to the corresponding method or raises
-        :exc:`~repro.simulation.kernel.protocol.LoweringUnsupported`
-        (e.g. for a subclass that overrides the inlined arithmetic),
-        which drops the whole system to the legacy path.
+        it specializes. Each hook returns a closure bit-for-bit
+        equivalent to the corresponding method, or raises
+        :exc:`~repro.simulation.kernel.protocol.LoweringUnsupported` when
+        the instance's class overrides the arithmetic it would inline.
+        The whole store then lowers to its own methods instead —
+        ``voltage()``, ``charge(p, dt)``, ``discharge(p, dt)`` and
+        ``step_idle(dt)``, the calls :class:`~repro.core.system.
+        StorageBank` makes on the legacy path — so any subclass (an
+        :class:`~repro.storage.AgingStorage` wrapper, a user chemistry)
+        runs on the kernel, exact by construction.
         """
-        from ..simulation.kernel.protocol import StoreLowering
+        from ..simulation.kernel.protocol import (
+            LoweringUnsupported,
+            StoreLowering,
+        )
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        return StoreLowering(self, self._kernel_voltage(dt),
-                             self._kernel_charge(dt),
-                             self._kernel_discharge(dt),
-                             self._kernel_idle(dt))
+        try:
+            closures = self._kernel_closures(dt)
+        except LoweringUnsupported:
+            store = self
+
+            def charge(power_w: float) -> float:
+                return store.charge(power_w, dt)
+
+            def discharge(power_w: float) -> float:
+                return store.discharge(power_w, dt)
+
+            def idle() -> None:
+                store.step_idle(dt)
+
+            closures = (self.voltage, charge, discharge, idle)
+        return StoreLowering(self, *closures)
+
+    def _kernel_closures(self, dt: float) -> tuple:
+        """The four hooks' inlined closures; raises
+        :exc:`LoweringUnsupported` when any hook refuses."""
+        return (self._kernel_voltage(dt), self._kernel_charge(dt),
+                self._kernel_discharge(dt), self._kernel_idle(dt))
 
     def _kernel_voltage(self, dt: float):
         """Terminal-voltage closure. The bound method is exact for any
@@ -285,10 +311,11 @@ class EnergyStorage(abc.ABC):
         Mirrors :meth:`lower_kernel`'s hook structure: chemistry-specific
         ``_batch_{voltage,charge,discharge,idle}`` hooks operate on
         shared ``(n,)`` state arrays (``state.energy`` plus whatever the
-        chemistry adds in ``_batch_init``). A chemistry that overrides
-        scalar physics without providing the matching batched hook
-        raises :exc:`LoweringUnsupported` and the scenario runs on the
-        per-scenario path instead.
+        chemistry adds in ``_batch_init``). The scalar hooks are composed
+        first for their override guards: a store class they refuse runs
+        its own methods on the scalar kernel, which a lockstep lane
+        cannot, so it raises :exc:`LoweringUnsupported` here and the
+        scenario runs on the per-scenario path instead.
         """
         from ..simulation.kernel.batched import (
             BatchState,
@@ -299,6 +326,8 @@ class EnergyStorage(abc.ABC):
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         same_class(siblings, "store")
+        # The guards test the class, which the group shares.
+        self._kernel_closures(dt)
         state = BatchState()
         state.energy = gather(siblings, lambda s: s.energy_j)
         state.charged = gather(siblings, lambda s: s.total_charged_j)

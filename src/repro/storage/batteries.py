@@ -157,14 +157,10 @@ class ChemistryBattery(EnergyStorage):
         mixed batches.
         """
         import numpy as np
-        from ..simulation.kernel.protocol import (
-            LoweringUnsupported,
-            ensure_unmodified,
-        )
+        from ..simulation.kernel.protocol import LoweringUnsupported
         from ..simulation.kernel.batched import gather
         socs_list, volts_list = self._ocv_soc, self._ocv_v
         for store in siblings:
-            ensure_unmodified(store, ChemistryBattery, "voltage", "soc")
             if store._ocv_soc != socs_list or store._ocv_v != volts_list:
                 raise LoweringUnsupported(
                     "batched battery lowering needs one OCV curve across "

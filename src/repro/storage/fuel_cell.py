@@ -181,11 +181,6 @@ class HydrogenFuelCell(EnergyStorage):
     def _batch_init(self, dt: float, siblings, state) -> None:
         import numpy as np
         from ..simulation.kernel.batched import gather
-        from ..simulation.kernel.protocol import ensure_unmodified
-        for store in siblings:
-            ensure_unmodified(store, HydrogenFuelCell, "voltage",
-                              "discharge", "available_power", "is_warm",
-                              "_cool", "step_idle")
         state.warmup = gather(siblings, lambda s: s._warmup)
         state.starts = np.array([s.starts for s in siblings], dtype=np.int64)
 

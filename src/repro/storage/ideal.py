@@ -50,10 +50,7 @@ class IdealStorage(EnergyStorage):
     # ------------------------------------------------------------------
     def _batch_voltage(self, dt: float, siblings, state):
         import numpy as np
-        from ..simulation.kernel.protocol import ensure_unmodified
         from ..simulation.kernel.batched import gather
-        for store in siblings:
-            ensure_unmodified(store, IdealStorage, "voltage")
         nominal = gather(siblings, lambda s: s.nominal_voltage)
 
         def voltage():

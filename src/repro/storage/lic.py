@@ -140,11 +140,7 @@ class LithiumIonCapacitor(EnergyStorage):
     # Batched lowering (see repro.simulation.kernel.batched)
     # ------------------------------------------------------------------
     def _batch_init(self, dt: float, siblings, state) -> None:
-        from ..simulation.kernel.protocol import ensure_unmodified
         from ..simulation.kernel.batched import gather
-        for store in siblings:
-            ensure_unmodified(store, LithiumIonCapacitor,
-                              "voltage", "step_idle")
         state.lic_cap = gather(siblings, lambda s: s.capacitance_f)
         state.lic_half_cap = gather(siblings, lambda s: 0.5 * s.capacitance_f)
         state.lic_min_v = gather(siblings, lambda s: s.min_voltage)

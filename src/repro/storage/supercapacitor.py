@@ -325,8 +325,6 @@ class Supercapacitor(EnergyStorage):
     def _batch_init(self, dt: float, siblings, state) -> None:
         """Shared branch-voltage arrays + the hoisted run constants."""
         import numpy as np
-        for store in siblings:
-            store._kernel_guard()
         state.v_fast = np.array([s.v_fast for s in siblings])
         state.v_slow = np.array([s.v_slow for s in siblings])
         # Per-lane constants via the *scalar* helper: identical Python

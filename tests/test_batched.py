@@ -13,6 +13,7 @@ have no batched lowering (replaced physics).
 """
 
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -60,7 +61,8 @@ ENV_FOR = {"A": outdoor_environment, "B": indoor_industrial_environment,
 
 
 class TunedSupercap(Supercapacitor):
-    """Replaced physics: genuinely outside every compiled envelope."""
+    """Replaced physics: outside the batched envelope (the scalar kernel
+    runs its own methods)."""
 
     def charge(self, power_w, dt):
         return super().charge(power_w * 0.5, dt)
@@ -132,7 +134,7 @@ class TestEligibility:
 
     def test_batched_envelope_is_inside_kernel_envelope(self):
         """Anything the batched kernel accepts, the scalar kernel must
-        accept too (the batched compile validates through it)."""
+        accept too (peeled lanes finish on it)."""
         for letter in SYSTEM_BUILDERS:
             system = build_system(letter)
             if batch_eligible(system, 300.0):
@@ -149,6 +151,20 @@ class TestEligibility:
             stores=[TunedSupercap(capacitance_f=50.0, name="tuned")])
         reason = why_batch_ineligible(system, 300.0)
         assert reason is not None and "TunedSupercap" in reason
+
+    @pytest.mark.parametrize("role", ["bank", "output", "node",
+                                      "conditioner"])
+    def test_component_without_a_lowering_hook_is_refused(self, role):
+        """A component object with no lowering hooks at all is a
+        refusal with a report, not an AttributeError."""
+        system = build_fixed_pv()
+        hookless = SimpleNamespace()
+        if role == "conditioner":
+            system.channels[0].conditioner = hookless
+        else:
+            setattr(system, role, hookless)
+        reason = why_batch_ineligible(system, 300.0)
+        assert reason is not None and "SimpleNamespace" in reason
 
 
 class TestBitExactness:
@@ -296,14 +312,15 @@ class TestFallback:
                                            "eligible"]
         paths = {r.name: r.execution_path for r in sweep}
         # P&O trackers and scheduled events batch now; only replaced
-        # physics falls off the tier (and off the scalar kernel too).
+        # physics falls off the tier, onto the scalar kernel (which runs
+        # the subclass's own methods).
         assert paths["eligible"] == "batched"
         assert paths["pando"] == "batched"
         # The swap changes the store class, so the lane peels into the
         # scalar side-channel mid-run — still the batched tier (the
         # per-bucket path contract is pinned in TestMaskedLane).
         assert paths["events"] == "batched+kernel"
-        assert paths["tuned"] == "legacy"
+        assert paths["tuned"] == "kernel"
 
     def test_fallback_rows_carry_the_capability_report(self):
         sweep = SweepRunner(processes=1, batch="auto").run(
@@ -386,8 +403,9 @@ class TestMaskedLane:
 
     # Event shapes and the execution path each must land on. Same-class
     # swaps keep the topology signature and REJOIN lockstep; cross-class
-    # swaps (and t=0 swaps) peel to the scalar kernel side-channel; a
-    # swap to a store with no lowering at all lands on the legacy strip.
+    # swaps (and t=0 swaps) peel to the scalar kernel side-channel — so
+    # does a swap to a store subclass with no batched lowering, which
+    # the scalar kernel runs through its own methods.
     @staticmethod
     def _same_class():
         return [swap_storage_event(6 * 3600.0, 0,
@@ -424,7 +442,7 @@ class TestMaskedLane:
                                                 name="zero"))]
 
     @staticmethod
-    def _legacy():
+    def _subclass():
         return [swap_storage_event(6 * 3600.0, 0,
                                    TunedSupercap(capacitance_f=20.0,
                                                  rated_voltage=5.0,
@@ -439,7 +457,7 @@ class TestMaskedLane:
             ("harvester", self._harvester, "batched"),
             ("double", self._double, "batched"),
             ("t0", self._t0, "batched+kernel"),
-            ("legacy", self._legacy, "batched+legacy"),
+            ("subclass", self._subclass, "batched+kernel"),
         ]
 
     def test_event_shapes_bitwise_and_write_back(self):

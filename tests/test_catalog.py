@@ -297,6 +297,27 @@ class TestManifest:
         assert manifest.corrupt_lines == 1
         assert manifest.lookup("ab" * 32, 1, "v1").run_id == "r1"
 
+    def test_record_appended_after_torn_line_survives_reload(self, tmp_path):
+        """A crash tears the last line mid-write (no newline); the next
+        append must not glue its record onto the torn one."""
+        path = tmp_path / "manifest.jsonl"
+        manifest = Manifest(path)
+        for name in ("a", "b"):
+            manifest.append(ManifestRecord(run_id=name,
+                                           spec_hash=name * 64, seed=1,
+                                           code_version="v1"))
+        text = path.read_text()
+        path.write_text(text[:len(text) - 10])
+        reopened = Manifest(path)
+        assert [r.run_id for r in reopened] == ["a"]
+        reopened.append(ManifestRecord(run_id="c", spec_hash="c" * 64,
+                                       seed=1, code_version="v1"))
+        reloaded = Manifest(path)
+        assert [r.run_id for r in reloaded] == ["a", "c"]
+        assert reloaded.corrupt_lines == 1
+        assert reloaded.lookup("c" * 64, 1, "v1").run_id == "c"
+        assert path.read_text().endswith("\n")
+
     def test_by_run_id_prefix_match(self, tmp_path):
         manifest = Manifest(tmp_path / "manifest.jsonl")
         manifest.append(ManifestRecord(run_id="abcdef-s1-v1",

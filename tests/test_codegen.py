@@ -116,7 +116,7 @@ class TestBackendsAndEligibility:
             [PhotovoltaicCell(area_cm2=30.0, name="pv")],
             stores=[_Replaced(capacitance_f=25.0, name="odd")])
         result = simulate(system, _env(), dt=DT, fast="codegen")
-        assert result.execution_path == "legacy"
+        assert result.execution_path == "kernel"
         report = result.codegen_fallback
         assert report is not None
         assert report.component == "_Replaced"

@@ -14,6 +14,7 @@ import pytest
 from repro.analysis.experiments.common import make_reference_system
 from repro.conditioning.mppt import FixedVoltage
 from repro.core.manager import ThresholdManager
+from repro.core.system import MultiSourceSystem, StorageBank
 from repro.environment import Environment, SourceType, Trace
 from repro.environment.composite import (
     indoor_industrial_environment,
@@ -24,8 +25,13 @@ from repro.harvesters import (
     PhotovoltaicCell,
     ThermoelectricGenerator,
 )
-from repro.simulation import SimEvent, Simulator, simulate, swap_storage_event
-from repro.simulation.kernel import KernelFallback
+from repro.simulation import (
+    LoweringUnsupported,
+    SimEvent,
+    Simulator,
+    simulate,
+    swap_storage_event,
+)
 from repro.storage import AgingStorage, LiPolymerBattery, Supercapacitor
 from repro.systems import SYSTEM_BUILDERS, build_system
 
@@ -47,6 +53,20 @@ def _mixed_system(manager=None):
          ThermoelectricGenerator(name="teg")],
         capacitance_f=50.0, initial_soc=0.5, measurement_interval_s=120.0,
         manager=manager)
+
+
+class _SteppedSystem(MultiSourceSystem):
+    """Overrides the step orchestration the kernel replicates."""
+
+    def step(self, ambient, dt, t=0.0):
+        return super().step(ambient, dt, t)
+
+
+class _ChargingBank(StorageBank):
+    """Overrides the bank routing the kernel replicates."""
+
+    def charge(self, power_w, dt):
+        return super().charge(power_w, dt)
 
 
 def _unmanaged_system():
@@ -286,10 +306,10 @@ class TestFastPathEquivalence:
         _assert_recorders_identical(legacy.recorder, fast.recorder)
 
     def test_mid_run_fallback_keeps_equivalence(self):
-        """An event that swaps in a store without a kernel lowering (an
-        AgingStorage wrapper overrides the storage physics) pushes the
-        system outside the envelope mid-run; the kernel->legacy handover
-        must keep the recorded run identical to the pure legacy path."""
+        """An event that swaps in an AgingStorage wrapper (it overrides
+        the storage physics) keeps the run on the kernel: the wrapper
+        lowers to its own methods and the recorded run stays identical
+        to the pure legacy path."""
         dt = 120.0
         duration = DAY
         env = outdoor_environment(duration=duration, dt=dt, seed=31)
@@ -304,28 +324,31 @@ class TestFastPathEquivalence:
                           events=events(), fast=False)
         fast = simulate(_mixed_system(), env, duration=duration, dt=dt,
                         events=events(), fast="auto")
-        assert fast.execution_path == "kernel+legacy"
+        assert fast.execution_path == "kernel"
         _assert_recorders_identical(legacy.recorder, fast.recorder)
 
-    def test_strict_mode_raises_on_mid_run_fallback(self):
-        """fast=True promised the kernel; a mid-run event that leaves the
-        envelope must raise, not silently degrade to the legacy loop."""
+    def test_mid_run_orchestration_swap_raises(self):
+        """An event that installs an orchestration subclass (a bank
+        overriding ``charge``) leaves nothing the kernel can run: the
+        recompile's LoweringUnsupported, naming the class, propagates in
+        every mode instead of switching loops mid-run."""
         dt = 120.0
         env = outdoor_environment(duration=DAY, dt=dt, seed=31)
-        events = [swap_storage_event(
-            0.5 * DAY, 0,
-            AgingStorage(LiPolymerBattery(capacity_mah=50.0,
-                                          initial_soc=0.5)))]
-        with pytest.raises(KernelFallback, match="outside the kernel"):
-            simulate(_mixed_system(), env, duration=DAY, dt=dt,
-                     events=events, fast=True)
+
+        def install_bank(system):
+            system.bank = _ChargingBank(system.bank.stores)
+
+        for fast in ("auto", True, "codegen"):
+            events = [SimEvent(0.5 * DAY, install_bank)]
+            with pytest.raises(LoweringUnsupported, match="_ChargingBank"):
+                simulate(_mixed_system(), env, duration=DAY, dt=dt,
+                         events=events, fast=fast)
 
     def test_fast_true_rejects_ineligible_system(self):
-        """A store whose subclass overrides the storage physics has no
+        """A system subclass overriding the step orchestration has no
         lowering, so the whole system is outside the kernel envelope."""
-        system = make_reference_system(
-            [PhotovoltaicCell(area_cm2=20.0)],
-            stores=[AgingStorage(LiPolymerBattery(capacity_mah=50.0))])
+        system = make_reference_system([PhotovoltaicCell(area_cm2=20.0)])
+        system.__class__ = _SteppedSystem
         env = outdoor_environment(duration=3600.0, dt=60.0, seed=1)
         with pytest.raises(ValueError, match="fast=True"):
             simulate(system, env, dt=60.0, fast=True)

@@ -128,7 +128,7 @@ def fuzz_spec(index: int) -> RunSpec:
 
 
 class _RetunedSupercap(Supercapacitor):
-    """Replaced physics — no lowering can vouch for it."""
+    """Replaced physics — no batched lowering can vouch for it."""
 
     def charge(self, power_w, dt):
         return super().charge(power_w * 0.9, dt)
@@ -315,9 +315,10 @@ class TestFuzzedDifferential:
         assert auto[0].metrics == off[0].metrics
 
     def test_codegen_fallback_surfaces_capability_report(self):
-        """Replaced storage physics is outside the scalar kernel, so a
-        ``fast="codegen"`` sweep lane falls to legacy: the row must
-        carry a non-empty structured CapabilityReport in its extras,
+        """Replaced storage physics is outside the fused envelope, so a
+        ``fast="codegen"`` sweep lane runs the scalar kernel (through the
+        subclass's own methods): the row must carry a non-empty
+        structured CapabilityReport naming the subclass in its extras,
         and ``sweep --explain`` must render it."""
         from repro.cli import _explain_batch
         shape = "retuned-store"
@@ -328,10 +329,11 @@ class TestFuzzedDifferential:
         sweep = SweepRunner(processes=1, batch="auto",
                             fast="codegen").run([spec])
         row = sweep[0]
-        assert row.execution_path == "legacy"
+        assert row.execution_path == "kernel"
         report = row.extras.get("codegen_fallback_reason")
         assert report is not None
-        assert report.component and report.capability and report.detail
+        assert report.component == "_RetunedSupercap"
+        assert report.capability and report.detail
         rendered = _explain_batch(sweep)
         assert report.component in rendered
         assert "codegen" in rendered

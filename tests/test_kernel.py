@@ -8,11 +8,14 @@ step so a lowering regression fails loudly, not as a perf mystery.
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.analysis.experiments.common import make_reference_system
+from repro.core.system import MultiSourceSystem
 from repro.environment.composite import outdoor_environment
 from repro.harvesters import PhotovoltaicCell
+from repro.load.node import WirelessSensorNode
 from repro.simulation import (
     EventSchedule,
     KernelPlan,
@@ -32,6 +35,28 @@ from repro.storage import (
 from repro.systems import SYSTEM_BUILDERS, build_system
 
 DAY = 86_400.0
+
+
+class SteppedSystem(MultiSourceSystem):
+    """Overrides the step orchestration the kernel replicates."""
+
+    def step(self, ambient, dt, t=0.0):
+        return super().step(ambient, dt, t)
+
+
+def _assert_kernel_matches_legacy(build) -> None:
+    env = outdoor_environment(duration=DAY, dt=60.0, seed=3)
+    legacy = simulate(build(), env, dt=60.0, fast=False)
+    kernel = simulate(build(), env, dt=60.0, fast="auto")
+    assert kernel.execution_path == "kernel"
+    for column in ("harvest_delivered", "charge_accepted", "quiescent",
+                   "node_supplied", "measurements", "stored_energy",
+                   "bus_voltage"):
+        assert np.array_equal(kernel.recorder.column(column),
+                              legacy.recorder.column(column)), column
+    assert np.array_equal(kernel.recorder.state_codes(),
+                          legacy.recorder.state_codes())
+    assert kernel.metrics == legacy.metrics
 
 
 class TestKernelCoverageGate:
@@ -55,25 +80,50 @@ class TestKernelCoverageGate:
             assert lowering.voltage() == store.voltage()
 
     def test_component_without_lowering_is_named(self):
-        """why_ineligible() pinpoints the component that refuses."""
-        system = make_reference_system(
-            [PhotovoltaicCell(area_cm2=20.0)],
-            stores=[AgingStorage(LiPolymerBattery(capacity_mah=50.0))])
+        """why_ineligible() pinpoints the component that refuses — an
+        orchestration subclass overriding a phase the kernel replicates
+        — while an AgingStorage wrapper lowers through its own methods,
+        bitwise equal to the legacy path."""
+        system = make_reference_system([PhotovoltaicCell(area_cm2=20.0)])
+        system.__class__ = SteppedSystem
         reason = why_ineligible(system, 60.0)
-        assert reason is not None and "AgingStorage" in reason
+        assert reason is not None and "SteppedSystem" in reason
         assert not eligible(system, 60.0)
         with pytest.raises(LoweringUnsupported):
             KernelPlan.compile(system, 60.0)
 
-    def test_subclassed_storage_physics_refuses_to_lower(self):
+        def aging():
+            return make_reference_system(
+                [PhotovoltaicCell(area_cm2=20.0)],
+                stores=[AgingStorage(LiPolymerBattery(capacity_mah=50.0))])
+
+        assert why_ineligible(aging(), 60.0) is None
+        _assert_kernel_matches_legacy(aging)
+
+    def test_subclassed_storage_physics_lowers_to_its_methods(self):
         class WeirdCap(Supercapacitor):
-            def charge(self, power_w, dt):  # pragma: no cover - physics stub
+            def charge(self, power_w, dt):
                 return super().charge(power_w * 0.5, dt)
 
-        system = make_reference_system([PhotovoltaicCell(area_cm2=20.0)],
-                                       stores=[WeirdCap()])
-        reason = why_ineligible(system, 60.0)
-        assert reason is not None and "WeirdCap" in reason
+        def build():
+            return make_reference_system([PhotovoltaicCell(area_cm2=20.0)],
+                                         stores=[WeirdCap()])
+
+        assert why_ineligible(build(), 60.0) is None
+        _assert_kernel_matches_legacy(build)
+
+    def test_subclassed_node_lowers_to_its_methods(self):
+        class ThriftyNode(WirelessSensorNode):
+            def demand_power(self):
+                return 0.9 * super().demand_power()
+
+        def build():
+            system = make_reference_system([PhotovoltaicCell(area_cm2=20.0)])
+            system.node.__class__ = ThriftyNode
+            return system
+
+        assert why_ineligible(build(), 60.0) is None
+        _assert_kernel_matches_legacy(build)
 
 
 class TestExecutionPathReporting:
