@@ -358,7 +358,8 @@ def test_bench_masked_lane_table1_grid():
 
 
 def test_bench_sweep_fanout_matches_sequential(once):
-    """8-scenario sweep: parallel fan-out, metrics identical to
+    """8-scenario sweep: parallel fan-out on the per-scenario tiers (one
+    group of 8 lanes is below the lockstep width), metrics identical to
     sequential simulate() calls."""
     areas = [10.0 + 10.0 * k for k in range(8)]
     duration = 2 * DAY
@@ -375,6 +376,7 @@ def test_bench_sweep_fanout_matches_sequential(once):
 
     runner = SweepRunner()
     sweep = once(runner.run, specs)
+    assert [r.execution_path for r in sweep] == ["kernel"] * len(specs)
 
     t0 = time.perf_counter()
     for spec, scenario in zip(specs, sweep):

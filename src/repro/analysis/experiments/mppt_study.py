@@ -15,7 +15,11 @@ closes the gap or wins, reproducing the survey's deployment-specificity.
 The 3 deployments x 5 trackers grid runs as one
 :class:`~repro.simulation.SweepRunner` sweep of 15 scenarios built from
 picklable module-level factories, so the study fans across worker
-processes with numbers identical to the sequential run.
+processes with numbers identical to the sequential run. The scenarios
+form 10 topology groups of one or two lanes, far below the lockstep
+width (:data:`~repro.simulation.batched_sweep.LOCKSTEP_MIN_LANES`), so
+each runs on the scalar kernel, where the P&O and IncCond hill climbs
+skip the updates that only repeat an exact limit cycle.
 """
 
 from __future__ import annotations

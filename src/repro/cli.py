@@ -81,6 +81,7 @@ from .analysis import (advise, compare_with_paper, render_architecture,
                        render_table1)
 from .analysis.audit import audit_run
 from .analysis.export import dumps_json
+from .simulation.batched_sweep import LOCKSTEP_MIN_LANES
 from .spec import (
     EnvironmentSpec,
     FleetSpec,
@@ -207,9 +208,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument("--batch", choices=("auto", "on", "off"),
                        default="auto",
                        help="lockstep batched tier: 'auto' uses it for "
-                            "eligible scenario groups, 'on' requires it "
-                            "for every scenario, 'off' disables it; rows "
-                            "report the tier in execution_path")
+                            "eligible scenario groups of at least "
+                            f"{LOCKSTEP_MIN_LANES} lanes and runs "
+                            "narrower groups per scenario "
+                            "on the scalar kernel, 'on' requires it for "
+                            "every scenario at any width, 'off' disables "
+                            "it; rows report the tier in execution_path")
     p_swp.add_argument("--explain", action="store_true",
                        help="after the sweep, print each fallback row's "
                             "capability report (which component refused "
@@ -244,10 +248,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--tier", choices=("auto", "batched",
                                          "multiprocessing", "in-process"),
                       default="auto",
-                      help="execution tier: 'auto' picks (batched -> "
-                           "multiprocessing -> in-process), the others "
-                           "pin one tier; all three produce bitwise-"
-                           "identical replicate rows")
+                      help="execution tier: 'auto' picks (batched "
+                           "for eligible ensembles of at least "
+                           f"{LOCKSTEP_MIN_LANES} replicates -> "
+                           "multiprocessing -> in-process), "
+                           "the others pin one tier; all three produce "
+                           "bitwise-identical replicate rows")
     p_mc.add_argument("--processes", type=int, default=None,
                       help="worker processes for the multiprocessing tier")
     p_mc.add_argument("--json", action="store_true",

@@ -31,8 +31,9 @@ Implemented trackers:
 The hill climbs (P&O, incremental conductance) apply up to 64 control
 updates per simulation step against one ambient value. Their fast tiers
 skip the updates that only repeat an exact limit cycle (see
-:func:`perturb_observe_updates` and ``docs/kernel.md``); the legacy
-``step`` methods stay naive and are the differential oracle.
+:func:`perturb_observe_updates`, :func:`incremental_conductance_updates`
+and ``docs/kernel.md``); the legacy ``step`` methods stay naive and are
+the differential oracle.
 """
 
 from __future__ import annotations
@@ -102,6 +103,51 @@ def perturb_observe_updates(power_at, ambient: float, voc: float,
             else:
                 mark_v, mark_p, mark_d = voltage, last_power, direction
     return voltage, last_power, direction
+
+
+def incremental_conductance_updates(current_at, ambient: float, voc: float,
+                                    step_fraction: float,
+                                    probe_fraction: float, voltage: float,
+                                    updates: int, fast_forward: bool = True):
+    """Apply ``updates`` IncCond control updates against one ambient value.
+
+    The loop body is :meth:`IncrementalConductance.step`'s, operator for
+    operator, including the equality branch that keeps the stored
+    (possibly unclamped) voltage. Returns the new stored voltage.
+
+    The update law reads only the stored voltage, so with
+    ``fast_forward`` the voltage is the whole cycle state: every
+    :data:`CYCLE_LAG` updates it is compared, by float equality, with
+    the voltage :data:`CYCLE_LAG` updates earlier, and on a repeat at
+    update ``m`` the remaining ``updates - m`` collapse to
+    ``(updates - m) % CYCLE_LAG`` (see :func:`perturb_observe_updates`).
+    Sound only when ``current_at`` is pure; pass ``fast_forward=False``
+    to run every update.
+    """
+    mark = voltage
+    done = 0
+    while done < updates:
+        block = updates - done
+        if block > CYCLE_LAG:
+            block = CYCLE_LAG
+        for _ in range(block):
+            v = min(max(voltage, 1e-6), voc)
+            dv = max(probe_fraction * voc, 1e-9)
+            i0 = current_at(v, ambient)
+            i1 = current_at(min(v + dv, voc), ambient)
+            di_dv = (i1 - i0) / dv
+            target_slope = -i0 / v
+            if di_dv > target_slope:
+                voltage = min(v + step_fraction * voc, voc)
+            elif di_dv < target_slope:
+                voltage = max(v - step_fraction * voc, 0.0)
+        done += block
+        if fast_forward and done < updates:
+            if voltage == mark:
+                updates = done + (updates - done) % CYCLE_LAG
+            else:
+                mark = voltage
+    return voltage
 
 
 def _cycle_budgets(budget, k: int, repeats):
@@ -651,6 +697,53 @@ class IncrementalConductance(MPPTracker):
         return TrackerStep(self._voltage)
 
     # ------------------------------------------------------------------
+    # Kernel lowering (see repro.simulation.kernel)
+    # ------------------------------------------------------------------
+    def lower_kernel(self, dt: float):
+        """Kernel closure: :meth:`step` with the hill climb fast-forwarded.
+
+        The IncCond twin of :meth:`PerturbObserve.lower_kernel`: the
+        closure reads and writes the tracker's own attributes, its update
+        loop is :func:`incremental_conductance_updates`, which skips the
+        repeats of an exact limit cycle for library harvesters only, and
+        a ``step`` that a subclass or a wrapper on the class installs in
+        place of the one defined here is the lowering instead.
+        """
+        from ..simulation.kernel.protocol import is_library_harvester
+        if type(self).step is not _INCREMENTAL_CONDUCTANCE_STEP:
+            return self.step
+        tracker = self
+        memo_harvester = None
+        memo_pure = False
+
+        def step(harvester: Harvester, ambient: float,
+                 dt: float) -> TrackerStep:
+            nonlocal memo_harvester, memo_pure
+            voc = harvester.open_circuit_voltage(ambient)
+            if voc <= 0:
+                tracker._voltage = None
+                return TrackerStep(0.0)
+            voltage = tracker._voltage
+            if voltage is None:
+                voltage = 0.5 * voc
+            period = tracker.update_period
+            elapsed = tracker._elapsed + dt
+            updates = int(elapsed / period)
+            tracker._elapsed = elapsed - updates * period
+            if updates:
+                if harvester is not memo_harvester:
+                    memo_harvester = harvester
+                    memo_pure = is_library_harvester(harvester)
+                voltage = incremental_conductance_updates(
+                    harvester.current_at, ambient, voc,
+                    tracker.step_fraction, tracker.probe_fraction, voltage,
+                    min(updates, 64), memo_pure)
+            tracker._voltage = voltage
+            return TrackerStep(voltage)
+
+        return step
+
+    # ------------------------------------------------------------------
     # Batched lowering (see repro.simulation.kernel.batched)
     # ------------------------------------------------------------------
     def lower_batched(self, dt: float, siblings):
@@ -742,6 +835,10 @@ class IncrementalConductance(MPPTracker):
                 return TrackerSchedule(voltage, writeback=writeback)
 
         return _IncCondPrepare()
+
+
+#: The update law :meth:`IncrementalConductance.lower_kernel` twins.
+_INCREMENTAL_CONDUCTANCE_STEP = IncrementalConductance.step
 
 
 @register("tracker", "fixed_voltage")

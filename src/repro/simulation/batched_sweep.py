@@ -12,6 +12,13 @@ the envelope excludes — forced ``fast=False``, or built from components
 without a batched lowering — are handed back with a capability report
 so the runner can route them through the per-scenario tiers.
 
+Lockstep pays only for wide groups: each lockstep step costs a fixed
+number of numpy calls whatever the width, more than a whole scalar-kernel
+step at a few lanes. Under ``batch="auto"`` a group narrower than
+:data:`LOCKSTEP_MIN_LANES` is handed back too, without a report (width
+routing is a choice, not a refusal), and runs per scenario on the scalar
+kernel (``docs/batched.md``, "When lockstep pays").
+
 Determinism: a batched scenario's rows are bit-for-bit what the
 per-scenario kernel would have produced, so tier selection never changes
 results — only throughput.
@@ -19,7 +26,9 @@ results — only throughput.
 
 from __future__ import annotations
 
+import dataclasses
 import time
+from collections import Counter
 
 from ..environment.compiled import CompiledEnvironment
 from .engine import SimulationResult
@@ -29,7 +38,12 @@ from .kernel.protocol import CapabilityReport, LoweringUnsupported
 from .metrics import compute_metrics
 from .recorder import Recorder
 
-__all__ = ["run_batched_tier"]
+__all__ = ["LOCKSTEP_MIN_LANES", "run_batched_tier"]
+
+#: Fewest lanes a group needs before ``batch="auto"`` steps it in
+#: lockstep; the measured crossover against the scalar kernel (the
+#: "When lockstep pays" table in ``docs/batched.md``).
+LOCKSTEP_MIN_LANES = 16
 
 _UNPROBED = object()
 
@@ -51,14 +65,23 @@ def _build_schedule(spec) -> EventSchedule | None:
     return EventSchedule(events) if events else None
 
 
-def run_batched_tier(specs, default_fast, on_result=None):
+def run_batched_tier(specs, default_fast, on_result=None,
+                     route_narrow=False):
     """Try to run each spec on the batched kernel.
 
     Returns ``(results, remainder, reasons)``: a dict mapping spec index
-    to its :class:`ScenarioResult`, the input-order indices that must
-    run on the per-scenario tiers, and each skipped index's
+    to its :class:`ScenarioResult`, a dict mapping each index that must
+    run on the per-scenario tiers (in input order) to the spec to run
+    there, and each refused index's
     :class:`~repro.simulation.kernel.protocol.CapabilityReport` (for
     fallback-row extras, ``batch=True`` errors, and ``--explain``).
+
+    With ``route_narrow`` (``SweepRunner(batch="auto")``), every group
+    of fewer than :data:`LOCKSTEP_MIN_LANES` lanes joins the remainder
+    with no report. A topology with fewer lanes than that never builds
+    its environments here; a wider one that ``dt`` or duration splits
+    into narrow groups hands back specs carrying the environments
+    already built, so no scenario synthesizes its traces twice.
 
     ``on_result(index, result, wall_time_s)``, when given, fires for
     each scenario as its topology group completes (lockstep groups
@@ -69,7 +92,7 @@ def run_batched_tier(specs, default_fast, on_result=None):
     from .sweep import ScenarioResult, _build_environment, _build_system
 
     results: dict = {}
-    remainder: list = []
+    remainder: dict = {}
     reasons: dict = {}
     groups: dict = {}
     # Eligibility probes are memoized per topology signature: every
@@ -78,25 +101,28 @@ def run_batched_tier(specs, default_fast, on_result=None):
     # below stays authoritative — a member refusing on instance state
     # the signature cannot see is re-probed individually there.
     probe_cache: dict = {}
+    eligible: list = []
+
+    def refuse(index, spec, report) -> None:
+        remainder[index] = spec
+        reasons[index] = report
 
     for index, spec in enumerate(specs):
         scenario_fast = spec.fast if spec.fast != "auto" else default_fast
         if scenario_fast is False:
-            remainder.append(index)
-            reasons[index] = CapabilityReport(
+            refuse(index, spec, CapabilityReport(
                 component="scenario", capability="compiled execution",
-                detail="fast=False forces the per-scenario legacy path")
+                detail="fast=False forces the per-scenario legacy path"))
             continue
         system = _build_system(spec)
         probe_dt = spec.dt if spec.dt is not None else 1.0
         try:
-            topo_key = group_signature(system, probe_dt, 0)
+            topology = group_signature(system, None, 0)
         except Exception:
-            remainder.append(index)
-            reasons[index] = CapabilityReport(
+            refuse(index, spec, CapabilityReport(
                 component=type(system).__name__,
                 capability="recognizable topology signature",
-                detail="unrecognized system shape")
+                detail="unrecognized system shape"))
             continue
         # Probe eligibility on the system alone before paying for the
         # environment (stochastic trace synthesis dwarfs system
@@ -104,17 +130,23 @@ def run_batched_tier(specs, default_fast, on_result=None):
         # building their environment here. Compile validity is
         # independent of dt, so a placeholder works when the spec
         # leaves dt to the environment.
-        reason = probe_cache.get(topo_key, _UNPROBED)
+        reason = probe_cache.get((probe_dt, topology), _UNPROBED)
         if reason is _UNPROBED:
             try:
                 BatchedPlan.compile([system], probe_dt)
                 reason = None
             except LoweringUnsupported as exc:
                 reason = exc.capability_report()
-            probe_cache[topo_key] = reason
+            probe_cache[probe_dt, topology] = reason
         if reason is not None:
-            remainder.append(index)
-            reasons[index] = reason
+            refuse(index, spec, reason)
+            continue
+        eligible.append((index, spec, system, topology))
+
+    lanes = Counter(topology for _, _, _, topology in eligible)
+    for index, spec, system, topology in eligible:
+        if route_narrow and lanes[topology] < LOCKSTEP_MIN_LANES:
+            remainder[index] = spec
             continue
         environment = _build_environment(spec)
         dt = spec.dt if spec.dt is not None else environment.dt
@@ -123,10 +155,9 @@ def run_batched_tier(specs, default_fast, on_result=None):
         if dt <= 0 or duration <= 0:
             # Hand invalid geometry to the per-scenario path so the
             # canonical Simulator errors are raised.
-            remainder.append(index)
-            reasons[index] = CapabilityReport(
+            refuse(index, spec, CapabilityReport(
                 component="scenario", capability="valid run geometry",
-                detail="invalid dt/duration")
+                detail="invalid dt/duration"))
             continue
         n_steps = max(1, int(round(duration / dt)))
         key = group_signature(system, dt, n_steps)
@@ -134,6 +165,11 @@ def run_batched_tier(specs, default_fast, on_result=None):
             (index, spec, system, environment, n_steps, dt))
 
     for entries in groups.values():
+        if route_narrow and len(entries) < LOCKSTEP_MIN_LANES:
+            for index, spec, _, environment, _, _ in entries:
+                remainder[index] = dataclasses.replace(
+                    spec, environment=environment)
+            continue
         n_steps = entries[0][4]
         dt = entries[0][5]
         systems = [e[2] for e in entries]
@@ -150,16 +186,14 @@ def run_batched_tier(specs, default_fast, on_result=None):
                     BatchedPlan.compile([entry[2]], dt)
                     kept.append(entry)
                 except LoweringUnsupported as exc:
-                    remainder.append(entry[0])
-                    reasons[entry[0]] = exc.capability_report()
+                    refuse(entry[0], entry[1], exc.capability_report())
             plan = None
             if kept:
                 try:
                     plan = BatchedPlan.compile([e[2] for e in kept], dt)
                 except LoweringUnsupported as exc:
                     for entry in kept:
-                        remainder.append(entry[0])
-                        reasons[entry[0]] = exc.capability_report()
+                        refuse(entry[0], entry[1], exc.capability_report())
                     kept = []
             entries = kept
             if plan is None:
@@ -190,5 +224,4 @@ def run_batched_tier(specs, default_fast, on_result=None):
             if on_result is not None:
                 on_result(index, results[index], lane_seconds)
 
-    remainder.sort()
-    return results, remainder, reasons
+    return results, dict(sorted(remainder.items())), reasons

@@ -199,7 +199,7 @@ def _build_system(spec: ScenarioSpec):
 
 
 def _execute(payload) -> ScenarioResult:
-    """Worker entry point: run one scenario to a picklable result row."""
+    """Run one scenario to a picklable result row."""
     spec, fast = payload
     system = _build_system(spec)
     environment = _build_environment(spec)
@@ -220,6 +220,14 @@ def _execute(payload) -> ScenarioResult:
     )
 
 
+def _timed_execute(payload) -> tuple:
+    """Worker entry point: :func:`_execute` and its wall seconds, timed
+    where it runs (the catalog archives that time with the row)."""
+    t0 = time.perf_counter()
+    result = _execute(payload)
+    return result, time.perf_counter() - t0
+
+
 class SweepRunner:
     """Tiered sweep executor; deterministic regardless of layout.
 
@@ -229,7 +237,10 @@ class SweepRunner:
        system topology is inside the batched-kernel envelope (see
        :mod:`repro.simulation.kernel.batched`) are grouped by topology
        and stepped *in lockstep* as numpy state vectors, bit-for-bit
-       identical to running them one by one.
+       identical to running them one by one. Only groups of at least
+       :data:`~repro.simulation.batched_sweep.LOCKSTEP_MIN_LANES` lanes
+       run there: a narrower group is faster on the scalar kernel, so
+       its scenarios go on to the per-scenario tiers below.
     2. **Multiprocessing** — remaining picklable scenarios fan out
        across worker processes.
     3. **In-process** — everything else.
@@ -237,11 +248,12 @@ class SweepRunner:
     Rows keep the input order whatever tier ran them, and
     ``execution_path`` reports which one did (``"batched"``,
     ``"codegen"``, ``"kernel"``, ``"legacy"``, or a ``+``-joined
-    combination when a mid-run event forced a handoff). Fallback lanes
-    run the scenario's ``fast`` setting like a plain
-    :func:`~repro.simulation.simulate` call; under ``fast="codegen"``,
-    rows that missed the fused tier carry ``codegen_fallback_reason`` in
-    their extras beside the batched tier's ``batch_fallback_reason``.
+    combination when a mid-run event forced a handoff). Per-scenario
+    rows run the scenario's ``fast`` setting like a plain
+    :func:`~repro.simulation.simulate` call. Rows the batched envelope
+    refused carry its ``batch_fallback_reason`` in their extras (rows
+    routed off it for width carry none), and under ``fast="codegen"``
+    rows that missed the fused tier carry ``codegen_fallback_reason``.
 
     Parameters
     ----------
@@ -252,9 +264,11 @@ class SweepRunner:
     fast:
         Default engine path for scenarios whose spec says ``"auto"``.
     batch:
-        ``"auto"`` uses the batched tier where eligible and falls back
-        transparently; ``True`` *requires* it (raising ``ValueError``
-        naming the first ineligible scenario); ``False`` disables it.
+        ``"auto"`` uses the batched tier for eligible groups of at least
+        ``LOCKSTEP_MIN_LANES`` lanes and runs the rest per scenario;
+        ``True`` *requires* it for every scenario at any width (raising
+        ``ValueError`` naming the first ineligible scenario); ``False``
+        disables it.
     catalog:
         Optional :class:`~repro.catalog.Catalog`. Before anything runs,
         every cacheable scenario is looked up by its
@@ -292,7 +306,7 @@ class SweepRunner:
             from ..catalog.store import CatalogReport
             report = CatalogReport()
             pending = self._restore_hits(specs, results, keys, report)
-        remainder = pending
+        remainder = {index: specs[index] for index in pending}
         reasons: dict = {}
         if self.batch in ("auto", True) and pending:
             from .batched_sweep import run_batched_tier
@@ -303,32 +317,36 @@ class SweepRunner:
                     self._archive(keys[pending[local_index]], result,
                                   report, wall_time_s)
             batched, local_remainder, local_reasons = run_batched_tier(
-                pending_specs, self.fast, on_result=on_result)
+                pending_specs, self.fast, on_result=on_result,
+                route_narrow=self.batch == "auto")
             if self.batch is True and local_remainder:
-                index = pending[local_remainder[0]]
+                first = next(iter(local_remainder))
                 raise ValueError(
-                    f"batch=True but scenario {specs[index].name!r} is "
-                    f"outside the batched envelope: "
-                    f"{local_reasons.get(local_remainder[0], 'no batched lowering')}")
+                    f"batch=True but scenario {specs[pending[first]].name!r} "
+                    f"is outside the batched envelope: "
+                    f"{local_reasons.get(first, 'no batched lowering')}")
             for local_index, result in batched.items():
                 results[pending[local_index]] = result
-            remainder = [pending[i] for i in local_remainder]
+            remainder = {pending[i]: spec
+                         for i, spec in local_remainder.items()}
             reasons = {pending[i]: r for i, r in local_reasons.items()}
-        payloads = [(specs[i], self.fast) for i in remainder]
+        indices = list(remainder)
+        payloads = [(remainder[i], self.fast) for i in indices]
         n_proc = self.processes
         if n_proc is None:
             n_proc = min(len(payloads), os.cpu_count() or 1) if payloads \
                 else 1
         if n_proc > 1 and len(payloads) > 1 and \
                 all(self._picklable(p) for p in payloads):
-            rest = self._run_pool(payloads, n_proc, remainder, keys, report)
+            rest = self._run_pool(payloads, n_proc, indices, keys, report)
         else:
-            rest = self._run_inprocess(payloads, remainder, keys, report)
-        for index, result in zip(remainder, rest):
+            rest = self._run_inprocess(payloads, indices, keys, report)
+        for index, result in zip(indices, rest):
             results[index] = result
-            # Fallback rows carry the batched tier's capability report,
+            # Refused rows carry the batched tier's capability report,
             # so a mixed sweep explains *why* each row missed the tier
-            # (``repro sweep --batch on --explain`` renders these).
+            # (``repro sweep --batch on --explain`` renders these); rows
+            # routed off it for their group's width carry none.
             fallback = reasons.get(index)
             if fallback is not None:
                 result.extras.setdefault("batch_fallback_reason", fallback)
@@ -383,11 +401,9 @@ class SweepRunner:
     def _run_inprocess(self, payloads, indices, keys, report) -> list:
         rest = []
         for payload, index in zip(payloads, indices):
-            t0 = time.perf_counter()
-            result = _execute(payload)
+            result, wall_time_s = _timed_execute(payload)
             if report is not None:
-                self._archive(keys[index], result, report,
-                              time.perf_counter() - t0)
+                self._archive(keys[index], result, report, wall_time_s)
             rest.append(result)
         return rest
 
@@ -417,9 +433,9 @@ class SweepRunner:
             # a crash loses at most the in-flight chunk, and archiving
             # stays in the parent (the store is single-writer).
             rest = []
-            for result, index in zip(
-                    pool.imap(_execute, payloads, chunksize=chunksize),
+            for (result, wall_time_s), index in zip(
+                    pool.imap(_timed_execute, payloads, chunksize=chunksize),
                     indices):
-                self._archive(keys[index], result, report, 0.0)
+                self._archive(keys[index], result, report, wall_time_s)
                 rest.append(result)
             return rest

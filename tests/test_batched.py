@@ -36,6 +36,7 @@ from repro.simulation import (
     swap_storage_event,
     why_batch_ineligible,
 )
+from repro.simulation import batched_sweep
 from repro.simulation.kernel.plan import eligible as kernel_eligible
 from repro.storage import Supercapacitor
 from repro.storage.batteries import LiIonBattery
@@ -185,7 +186,7 @@ class TestBitExactness:
                 collect=collect)
             for k in range(3)
         ]
-        sweep = SweepRunner(processes=1, batch="auto").run(specs)
+        sweep = SweepRunner(processes=1, batch=True).run(specs)
         assert [r.execution_path for r in sweep] == ["batched"] * 3
         for k, (row, result) in enumerate(zip(sweep, captured)):
             reference = simulate(
@@ -212,7 +213,7 @@ class TestBitExactness:
                 collect=collect)
             for cap, seed in cases
         ]
-        sweep = SweepRunner(processes=1, batch="auto").run(specs)
+        sweep = SweepRunner(processes=1, batch=True).run(specs)
         assert all(r.execution_path == "batched" for r in sweep)
         for (cap, seed), row, result in zip(cases, sweep, captured):
             reference = simulate(
@@ -234,7 +235,7 @@ class TestBitExactness:
                          params={"cap": cap}, collect=collect)
             for cap in (10.0, 25.0, 50.0, 100.0)
         ]
-        sweep = SweepRunner(processes=1, batch="auto").run(specs)
+        sweep = SweepRunner(processes=1, batch=True).run(specs)
         assert all(r.execution_path == "batched" for r in sweep)
         for row, result in zip(sweep, captured):
             reference = simulate(build_fixed_pv(row.params["cap"]), env,
@@ -257,7 +258,7 @@ class TestBitExactness:
                          collect=collect)
             for k in range(3)
         ]
-        SweepRunner(processes=1, batch="auto").run(specs)
+        SweepRunner(processes=1, batch=True).run(specs)
         for k, result in enumerate(captured):
             reference = simulate(
                 build_system("D", initial_soc=0.2 + 0.2 * k),
@@ -305,7 +306,10 @@ class TestFallback:
                          environment=env, seed=1),
         ]
 
-    def test_mixed_sweep_routes_and_preserves_order(self):
+    def test_mixed_sweep_routes_and_preserves_order(self, monkeypatch):
+        # batch=True refuses the mixed grid, so lockstep is reached
+        # through "auto" with every group wide enough for it.
+        monkeypatch.setattr(batched_sweep, "LOCKSTEP_MIN_LANES", 1)
         sweep = SweepRunner(processes=1, batch="auto").run(
             self._mixed_specs())
         assert [r.name for r in sweep] == ["tuned", "pando", "events",
@@ -477,7 +481,7 @@ class TestMaskedLane:
             for label, events, _ in cases
             for k, cap in enumerate(caps)
         ]
-        sweep = SweepRunner(processes=1, batch="auto").run(specs)
+        sweep = SweepRunner(processes=1, batch=True).run(specs)
         i = 0
         for label, events, want_path in cases:
             for k, cap in enumerate(caps):
@@ -524,7 +528,7 @@ class TestMaskedLane:
                          params={}, collect=collect)
             for k in range(3)
         ]
-        sweep = SweepRunner(processes=1, batch="auto").run(specs)
+        sweep = SweepRunner(processes=1, batch=True).run(specs)
         assert [r.execution_path for r in sweep] == ["batched"] * 3
         for k, (row, result) in enumerate(zip(sweep, captured)):
             events = events_for(k)

@@ -481,6 +481,16 @@ class TestSweepDedup:
         assert rerun.catalog_report.hits == 4
         assert_rows_equal(list(rerun), list(result))
 
+    def test_pool_tier_archives_each_scenarios_wall_time(self, tmp_path):
+        # Four lanes are below the lockstep width, so this catalog sweep
+        # runs on the pool tier; each worker times its own scenario.
+        result = SweepRunner(processes=2, catalog=Catalog(
+            tmp_path / "store")).run(make_grid(4))
+        assert [r.execution_path for r in result] == ["kernel"] * 4
+        records = list(Catalog(tmp_path / "store").manifest)
+        assert len(records) == 4
+        assert all(record.wall_time_s > 0 for record in records), records
+
     def test_cross_tier_hits_are_bitwise(self, tmp_path):
         # Archive on the batched tier, hit from the in-process tier (and
         # vice versa): the differential contract makes tiers
@@ -566,7 +576,7 @@ class TestCrashResume:
         grid = make_grid(4, dt=300.0) + [
             make_scenario(f"coarse-{k}", soc=round(0.25 + 0.1 * k, 4),
                           dt=600.0) for k in range(4)]
-        truth = SweepRunner(processes=1, batch="auto").run(list(grid))
+        truth = SweepRunner(processes=1, batch=True).run(list(grid))
 
         real_run_batched = batched_module.run_batched
         calls = {"n": 0}
@@ -579,7 +589,7 @@ class TestCrashResume:
 
         monkeypatch.setattr(batched_module, "run_batched", crashing)
         with pytest.raises(RuntimeError, match="simulated crash"):
-            SweepRunner(processes=1, batch="auto",
+            SweepRunner(processes=1, batch=True,
                         catalog=Catalog(root)).run(list(grid))
         monkeypatch.setattr(batched_module, "run_batched",
                             real_run_batched)
@@ -587,7 +597,7 @@ class TestCrashResume:
         archived = len(Catalog(root).manifest)
         assert archived == 4  # the first lockstep group, whole
 
-        resumed = SweepRunner(processes=1, batch="auto",
+        resumed = SweepRunner(processes=1, batch=True,
                               catalog=Catalog(root)).run(list(grid))
         assert resumed.catalog_report.hits == 4
         assert resumed.catalog_report.misses == 4

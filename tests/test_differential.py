@@ -436,7 +436,7 @@ class TestFuzzedEventDifferential:
             name=f"event-fuzz{index}", system=build_system,
             environment=envf, duration=DAY, seed=seed,
             events=make_events, collect=captured.append)
-        row = SweepRunner(processes=1, batch="auto").run([scenario])[0]
+        row = SweepRunner(processes=1, batch=True).run([scenario])[0]
         # Event-carrying lanes ride the batched tier: they rejoin
         # lockstep or peel into the scalar side-channel, never refuse.
         assert row.execution_path.startswith("batched"), row.execution_path

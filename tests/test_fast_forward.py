@@ -4,13 +4,14 @@ The fast tiers skip P&O and incremental-conductance control updates
 that only repeat an exact limit cycle (``docs/kernel.md``). These tests
 hold each place the rule runs to a naive reference:
 
-* the scalar helper shared by the kernel closure and the fused codegen
-  emission, against a naive update loop written out here;
+* the scalar helpers — P&O's, shared by its kernel closure and the
+  fused codegen emission, and IncCond's, used by its kernel closure —
+  against naive update loops written out here;
 * the batched ``prepare`` replays, against each lane's legacy ``step``
   run one lane at a time;
-* the engine tiers, where the rule must skip most ``power_at`` calls
-  for library harvesters and none for a stateful user harvester, and
-  where a ``step`` override must keep running.
+* the engine tiers, where the rule must skip most ``power_at`` /
+  ``current_at`` calls for library harvesters and none for a stateful
+  user harvester, and where a ``step`` override must keep running.
 
 Final states are compared with ``float.hex``, so even the sign of a
 zero counts.
@@ -22,9 +23,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.experiments.common import make_reference_system
+from repro.analysis.experiments import mppt_study
 from repro.conditioning.mppt import (
     IncrementalConductance,
     PerturbObserve,
+    incremental_conductance_updates,
     perturb_observe_updates,
 )
 from repro.environment.composite import outdoor_environment
@@ -62,6 +65,24 @@ def naive_updates(power_at, ambient, voc, step_fraction, voltage,
         voltage += direction * step_fraction * voc
         voltage = min(max(voltage, 0.0), voc)
     return voltage, last_power, direction
+
+
+def naive_incremental_conductance(current_at, ambient, voc, step_fraction,
+                                  probe_fraction, voltage, updates):
+    """The update loop of ``IncrementalConductance.step``, every update
+    run."""
+    for _ in range(updates):
+        v = min(max(voltage, 1e-6), voc)
+        dv = max(probe_fraction * voc, 1e-9)
+        i0 = current_at(v, ambient)
+        i1 = current_at(min(v + dv, voc), ambient)
+        di_dv = (i1 - i0) / dv
+        target_slope = -i0 / v
+        if di_dv > target_slope:
+            voltage = min(v + step_fraction * voc, voc)
+        elif di_dv < target_slope:
+            voltage = max(v - step_fraction * voc, 0.0)
+    return voltage
 
 
 def _hex(value):
@@ -109,6 +130,35 @@ def test_scalar_fast_forward_equals_naive_loop(kind, data):
     got = perturb_observe_updates(slow_power, *args, fast_forward=False)
     assert [_hex(x) for x in got] == [_hex(x) for x in expected]
     assert slow_calls[0] == updates
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from(sorted(HARVESTERS)), data=st.data())
+def test_scalar_incremental_conductance_equals_naive_loop(kind, data):
+    harvester, (lo, hi) = HARVESTERS[kind]
+    ambient = data.draw(st.floats(lo, hi), label="ambient")
+    voc = harvester.open_circuit_voltage(ambient)
+    assume(voc > 0.0)
+    # The stored voltage may exceed this step's Voc: it was set against
+    # an earlier ambient value.
+    voltage = data.draw(st.floats(0.0, 1.5 * voc), label="voltage")
+    step_fraction = data.draw(st.floats(0.01, 0.49), label="step_fraction")
+    probe_fraction = step_fraction * data.draw(st.floats(0.05, 0.9),
+                                               label="probe")
+    updates = data.draw(st.integers(0, 64), label="updates")
+    args = (ambient, voc, step_fraction, probe_fraction, voltage, updates)
+
+    naive_current, naive_calls = _counted(harvester.current_at)
+    fast_current, fast_calls = _counted(harvester.current_at)
+    expected = naive_incremental_conductance(naive_current, *args)
+    got = incremental_conductance_updates(fast_current, *args)
+    assert _hex(got) == _hex(expected)
+    assert fast_calls[0] <= naive_calls[0] == 2 * updates
+    slow_current, slow_calls = _counted(harvester.current_at)
+    got = incremental_conductance_updates(slow_current, *args,
+                                          fast_forward=False)
+    assert _hex(got) == _hex(expected)
+    assert slow_calls[0] == 2 * updates
 
 
 def test_scalar_fast_forward_engages_on_a_cold_start():
@@ -323,3 +373,86 @@ def test_replaced_step_runs_on_the_kernel(monkeypatch, replaced_by):
     assert kernel.execution_path == "kernel"
     assert calls[0] == len(legacy.recorder)
     _assert_columns_equal(kernel, legacy)
+
+
+# ---------------------------------------------------------------------------
+# Incremental conductance on the scalar kernel
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("replaced_by", ["subclass", "class wrapper"])
+def test_replaced_incremental_conductance_step_runs_on_the_kernel(
+        monkeypatch, replaced_by):
+    """The IncCond kernel closure twins ``IncrementalConductance.step``
+    the same way: an override or a wrapper on the class runs instead."""
+    env = outdoor_environment(duration=DAY, dt=300.0, seed=14)
+    legacy = simulate(
+        _reference_pv_system(tracker_factory=IncrementalConductance),
+        env, dt=300.0, fast=False)
+    step, calls = _counted(IncrementalConductance.step)
+    if replaced_by == "subclass":
+        class CountingIncrementalConductance(IncrementalConductance):
+            pass
+
+        CountingIncrementalConductance.step = step
+        make_tracker = CountingIncrementalConductance
+    else:
+        monkeypatch.setattr(IncrementalConductance, "step", step)
+        make_tracker = IncrementalConductance
+    tracker = make_tracker()
+    assert tracker.lower_kernel(300.0) == tracker.step
+    kernel = simulate(_reference_pv_system(tracker_factory=make_tracker),
+                      env, dt=300.0, fast="auto")
+    assert kernel.execution_path == "kernel"
+    assert calls[0] == len(legacy.recorder)
+    _assert_columns_equal(kernel, legacy)
+
+
+class _CurrentCountingPV(PhotovoltaicCell):
+    """A stateful user harvester for IncCond, which probes ``current_at``:
+    its readings drift after every 500th call."""
+
+    def __init__(self, **kwargs):
+        self.calls = 0
+        super().__init__(**kwargs)
+
+    def current_at(self, voltage, ambient):
+        self.calls += 1
+        return super().current_at(voltage, ambient) * \
+            (1.0 + 1e-3 * (self.calls // 500 % 2))
+
+
+def test_stateful_user_harvester_keeps_every_incremental_conductance_call():
+    env = outdoor_environment(duration=DAY, dt=300.0, seed=15)
+    harvesters = {tier: _CurrentCountingPV(area_cm2=40.0, efficiency=0.12,
+                                           name="pv")
+                  for tier in (False, "auto")}
+    results = {tier: simulate(
+        _reference_pv_system(harvester,
+                             tracker_factory=IncrementalConductance),
+        env, dt=300.0, fast=tier) for tier, harvester in harvesters.items()}
+    assert results["auto"].execution_path == "kernel"
+    assert harvesters["auto"].calls == harvesters[False].calls
+    _assert_columns_equal(results["auto"], results[False])
+
+
+@pytest.mark.parametrize("deployment", ["bright-outdoor", "windy-site"])
+def test_e5_incremental_conductance_lanes_skip_most_current_calls(
+        monkeypatch, deployment):
+    """E5's IncCond lanes at 0.5 d, dt 300 s: on the kernel the limit-
+    cycle fast-forward leaves under a quarter of legacy's ``current_at``
+    calls (a counting wrapper on the class keeps the harvester a library
+    one), and the recorded bits are legacy's."""
+    env_factory = mppt_study._DEPLOYMENTS[deployment][0]
+    env = env_factory(duration=0.5 * DAY, dt=300.0, seed=1)
+    systems = {tier: mppt_study._build_system(deployment, "incremental-cond")
+               for tier in (False, "auto")}
+    cls = type(systems[False].channels[0].harvester)
+    current_at, calls = _counted(cls.current_at)
+    monkeypatch.setattr(cls, "current_at", current_at)
+    results, counts = {}, {}
+    for tier, system in systems.items():
+        calls[0] = 0
+        results[tier] = simulate(system, env, fast=tier)
+        counts[tier] = calls[0]
+    assert results["auto"].execution_path == "kernel"
+    assert 4 * counts["auto"] <= counts[False], counts
+    _assert_columns_equal(results["auto"], results[False])

@@ -211,7 +211,7 @@ class TestRunFleet:
                  FleetNodeSpec(system=spec_for("D")))
         spec = FleetSpec(system=spec_for("C"), environment=_env(),
                          nodes=nodes, seed=3, name="mixed")
-        result = run_fleet(spec, tier="auto")
+        result = run_fleet(spec, tier="batched")
         assert len(result.results) == 4
         assert result.metrics.nodes == 4
         # Each hardware class forms its own lockstep group.

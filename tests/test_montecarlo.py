@@ -161,7 +161,7 @@ class TestEnsemble:
     @pytest.fixture(scope="class")
     def ensemble(self):
         return run_ensemble(mc_spec(replicates=6, root_seed=11),
-                            tier="auto")
+                            tier="batched")
 
     def test_shape_and_identity(self, ensemble):
         assert len(ensemble) == 6
@@ -225,7 +225,7 @@ class TestEnsemble:
                                 dt=600.0),
             duration=0.05 * DAY,
         )
-        ensemble = run_ensemble(base, 4, root_seed=5, tier="auto")
+        ensemble = run_ensemble(base, 4, root_seed=5, tier="batched")
         assert ensemble.execution_paths() == {"batched": 4}
         assert [r.name for r in ensemble] == [f"d-ref#r{i}"
                                               for i in range(4)]
@@ -234,7 +234,7 @@ class TestEnsemble:
         """A (P&O trackers, fuel-cell backup, bus/MCU) rides the batched
         tier — the masked-lane envelope covers all of Table I."""
         ensemble = run_ensemble(mc_spec(letter="A", replicates=3),
-                                tier="auto")
+                                tier="batched")
         assert ensemble.execution_paths() == {"batched": 3}
 
     def test_ineligible_system_falls_back_and_batched_tier_refuses(self):
