@@ -165,7 +165,8 @@ def is_library_harvester(harvester) -> bool:
     Library harvesters are pure in ``(voltage, ambient)``: their I-V and
     MPP methods keep no state a call could change. Lowerings that skip
     or memoize harvester calls (the kernel's MPP memo, the P&O limit-
-    cycle fast-forward, the fused codegen memos) engage only for them; a
+    cycle fast-forward over ``power_at``, the IncCond one over
+    ``current_at``, the fused codegen memos) engage only for them; a
     user harvester class may count or randomize its calls and so keeps
     every call.
     """

@@ -336,9 +336,11 @@ class TestFallback:
         for name in ("pando", "events", "eligible"):
             assert "batch_fallback_reason" not in sweep[name].extras, name
 
-    def test_event_scenario_rows_match_per_scenario_run(self):
+    def test_event_scenario_rows_match_per_scenario_run(self,
+                                                         monkeypatch):
         """An event-carrying scenario in a batched sweep produces the
         same row as running it alone."""
+        monkeypatch.setattr(batched_sweep, "LOCKSTEP_MIN_LANES", 1)
         specs = self._mixed_specs()
         mixed = SweepRunner(processes=1, batch="auto").run(specs)
         solo = SweepRunner(processes=1, batch=False).run(

@@ -497,7 +497,7 @@ class TestSweepDedup:
         # interchangeable cache producers.
         grid = make_grid(4)
         batched_store = tmp_path / "a"
-        SweepRunner(processes=1, batch="auto",
+        SweepRunner(processes=1, batch=True,
                     catalog=Catalog(batched_store)).run(grid)
         hit = SweepRunner(processes=1, batch=False,
                           catalog=Catalog(batched_store)).run(grid)

@@ -58,6 +58,7 @@ from repro.simulation import (
     swap_storage_event,
     why_batch_ineligible,
 )
+from repro.simulation import batched_sweep
 from repro.simulation.kernel import LoweringUnsupported
 from repro.simulation.kernel.codegen import _fused_config
 from repro.simulation.kernel.plan import KernelPlan, why_ineligible
@@ -297,10 +298,14 @@ class TestFuzzedDifferential:
                 is not None
 
     @pytest.mark.parametrize("shape", sorted(INELIGIBLE_SYSTEMS))
-    def test_ineligible_shapes_keep_the_fallback_contract(self, shape):
+    def test_ineligible_shapes_keep_the_fallback_contract(self, shape,
+                                                         monkeypatch):
         """Genuinely un-lowerable shapes: the reason is non-empty, a
         batch="auto" sweep falls off the tier, and the fallback row
         matches a tier-disabled run."""
+        # One lane is too narrow for lockstep under "auto"; lower the
+        # width floor so only the envelope's refusal keeps it off.
+        monkeypatch.setattr(batched_sweep, "LOCKSTEP_MIN_LANES", 1)
         build_ineligible = INELIGIBLE_SYSTEMS[shape]
         reason = why_batch_ineligible(build_ineligible(), 600.0)
         assert isinstance(reason, str) and reason.strip()
@@ -314,13 +319,15 @@ class TestFuzzedDifferential:
         assert auto[0].execution_path != "batched"
         assert auto[0].metrics == off[0].metrics
 
-    def test_codegen_fallback_surfaces_capability_report(self):
+    def test_codegen_fallback_surfaces_capability_report(self,
+                                                         monkeypatch):
         """Replaced storage physics is outside the fused envelope, so a
         ``fast="codegen"`` sweep lane runs the scalar kernel (through the
         subclass's own methods): the row must carry a non-empty
         structured CapabilityReport naming the subclass in its extras,
         and ``sweep --explain`` must render it."""
         from repro.cli import _explain_batch
+        monkeypatch.setattr(batched_sweep, "LOCKSTEP_MIN_LANES", 1)
         shape = "retuned-store"
         build_ineligible = INELIGIBLE_SYSTEMS[shape]
         env = partial(outdoor_environment, duration=0.05 * DAY, dt=600.0)
@@ -339,7 +346,7 @@ class TestFuzzedDifferential:
         assert "codegen" in rendered
 
     @pytest.mark.parametrize("index", range(CASES))
-    def test_legacy_kernel_batched_agree(self, index):
+    def test_legacy_kernel_batched_agree(self, index, monkeypatch):
         spec = fuzz_spec(index)
         legacy = run_spec(spec, fast=False)
         assert legacy.execution_path == "legacy"
@@ -394,6 +401,7 @@ class TestFuzzedDifferential:
         else:
             assert isinstance(batch_reason, str) and batch_reason.strip(), \
                 f"{spec.name}: batched fallback must carry a reason"
+            monkeypatch.setattr(batched_sweep, "LOCKSTEP_MIN_LANES", 1)
             row, _ = _batched_recorder(spec, batch="auto")
             assert row.execution_path != "batched"
             assert row.metrics == legacy.metrics
@@ -555,7 +563,7 @@ class TestCatalogRoundTripDifferential:
 
     #: Per-scenario tier layouts a cached row must agree with (the pool
     #: tier is exercised corpus-wide below: one scenario never pools).
-    TIERS = ({"batch": "auto", "processes": 1},
+    TIERS = ({"batch": True, "processes": 1},
              {"batch": False, "processes": 1})
 
     @pytest.mark.parametrize("index", range(CASES))
@@ -563,7 +571,7 @@ class TestCatalogRoundTripDifferential:
         from repro.catalog import Catalog
         spec = fuzz_spec(index)
         catalog = Catalog(tmp_path / "store")
-        first = SweepRunner(processes=1, catalog=catalog).run(
+        first = SweepRunner(processes=1, batch=True, catalog=catalog).run(
             [to_scenario(spec)])
         assert first.catalog_report.archived == 1
         (record,) = catalog.manifest
@@ -582,7 +590,7 @@ class TestCatalogRoundTripDifferential:
         from repro.catalog import Catalog
         spec = fuzz_spec(index)
         store = tmp_path / "store"
-        SweepRunner(processes=1,
+        SweepRunner(processes=1, batch=True,
                     catalog=Catalog(store)).run([to_scenario(spec)])
         for kwargs in self.TIERS:
             fresh = SweepRunner(**kwargs).run([to_scenario(spec)])[0]

@@ -30,6 +30,7 @@ from repro.simulation import (
     replicate_sweep,
     run_ensemble,
 )
+from repro.simulation import batched_sweep
 from repro.simulation.montecarlo import DEFAULT_QUANTILES, summarize
 from repro.spec import (
     EnvironmentSpec,
@@ -237,7 +238,8 @@ class TestEnsemble:
                                 tier="batched")
         assert ensemble.execution_paths() == {"batched": 3}
 
-    def test_ineligible_system_falls_back_and_batched_tier_refuses(self):
+    def test_ineligible_system_falls_back_and_batched_tier_refuses(
+            self, monkeypatch):
         """Replaced physics stays outside every envelope: tier="auto"
         falls back, and pinning tier="batched" fails with the refusing
         component's capability report, not a generic tier error."""
@@ -260,6 +262,9 @@ class TestEnsemble:
                                 dt=600.0),
             duration=0.05 * DAY,
         )
+        # Three replicates are too few for lockstep under "auto"; lower
+        # the width floor so only the envelope's refusal keeps them off.
+        monkeypatch.setattr(batched_sweep, "LOCKSTEP_MIN_LANES", 1)
         ensemble = run_ensemble(base, 3, root_seed=3, tier="auto")
         assert "batched" not in ensemble.execution_paths()
         with pytest.raises(ValueError, match="batched envelope") as err:

@@ -34,6 +34,7 @@ from repro.simulation import (
     simulate,
     why_batch_ineligible,
 )
+from repro.simulation import batched_sweep
 from repro.simulation.kernel import why_ineligible
 from repro.simulation.recorder import SCALAR_COLUMNS
 from repro.storage import (
@@ -158,9 +159,13 @@ class TestGuardParity:
         assert kernel.execution_path == "kernel"
         assert_recorded_equal(kernel, legacy, subclass.__name__)
 
-    def test_sweep_routes_the_override_off_the_batched_tier(self):
+    def test_sweep_routes_the_override_off_the_batched_tier(
+            self, monkeypatch):
         """A charge override batched with base physics would change the
         metrics; the sweep must run it per scenario and match legacy."""
+        # Three lanes would run per scenario for their width alone; make
+        # every width lockstep-worthy so only the refusal keeps them off.
+        monkeypatch.setattr(batched_sweep, "LOCKSTEP_MIN_LANES", 1)
         subclass = _delegating(LiIonBattery, "charge")
 
         def build():
