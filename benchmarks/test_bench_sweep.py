@@ -92,8 +92,21 @@ def build_sweep_system(area_cm2: float):
         capacitance_f=80.0, measurement_interval_s=120.0)
 
 
-def test_bench_fastpath_1m_steps():
-    """1M-step single scenario: fast path >= 3x the seed engine."""
+def test_bench_fastpath_1m_steps(monkeypatch):
+    """1M-step single scenario: fast path >= 3x the seed engine.
+
+    The reference platform has the fused codegen shape; the engine's
+    codegen attempt is refused here so this gate times the scalar
+    kernel (the fused tier has its own gate below).
+    """
+    from repro.simulation import engine
+    from repro.simulation.kernel import LoweringUnsupported
+
+    def refuse(plan, compiled):
+        raise LoweringUnsupported("fused codegen refused by the benchmark",
+                                  capability="fused codegen emission")
+
+    monkeypatch.setattr(engine, "prepare_codegen", refuse)
     env = _bench_environment(DAY)
 
     t0 = time.perf_counter()
@@ -103,13 +116,14 @@ def test_bench_fastpath_1m_steps():
     legacy_rate = (time.perf_counter() - t0) / LEGACY_STEPS
 
     t0 = time.perf_counter()
-    fast = simulate(_bench_system(), env, duration=DAY, dt=FAST_DT, fast=True)
+    fast = simulate(_bench_system(), env, duration=DAY, dt=FAST_DT)
     fast_rate = (time.perf_counter() - t0) / FAST_STEPS
+    assert fast.execution_path == "kernel"
 
     # The fast path must be a faithful replacement, not just a fast one:
     # its prefix is bit-for-bit the legacy run.
     prefix = simulate(_bench_system(), env, duration=LEGACY_STEPS * FAST_DT,
-                      dt=FAST_DT, fast=True)
+                      dt=FAST_DT)
     for column in ("harvest_delivered", "stored_energy", "node_consumed"):
         assert np.array_equal(prefix.recorder.column(column),
                               legacy.recorder.column(column)), column
@@ -131,7 +145,8 @@ def test_bench_fastpath_1m_steps():
 
 
 def test_bench_codegen_fastpath_1m_steps():
-    """1M-step reference scenario on the fused codegen tier.
+    """1M-step reference scenario on the fused codegen tier, which the
+    default ``fast="auto"`` picks for this platform.
 
     Gates three things at once: >= 10x over the seed engine at
     steady-state (warm compile cache), zero recompilations on a second
@@ -152,8 +167,7 @@ def test_bench_codegen_fastpath_1m_steps():
 
     clear_codegen_cache()
     before = codegen_stats()
-    cold = simulate(_bench_system(), env, duration=DAY, dt=FAST_DT,
-                    fast="codegen")
+    cold = simulate(_bench_system(), env, duration=DAY, dt=FAST_DT)
     after_cold = codegen_stats()
     assert cold.execution_path == "codegen"
     assert after_cold["compiles"] == before["compiles"] + 1
@@ -162,8 +176,7 @@ def test_bench_codegen_fastpath_1m_steps():
     # Warm cache: an identical spec must reuse the compiled artifact —
     # no new compilation, hit counter up by exactly one.
     t0 = time.perf_counter()
-    warm = simulate(_bench_system(), env, duration=DAY, dt=FAST_DT,
-                    fast="codegen")
+    warm = simulate(_bench_system(), env, duration=DAY, dt=FAST_DT)
     warm_rate = (time.perf_counter() - t0) / FAST_STEPS
     after_warm = codegen_stats()
     assert warm.execution_path == "codegen"
@@ -173,8 +186,7 @@ def test_bench_codegen_fastpath_1m_steps():
     # Faithful replacement: legacy prefix bit-for-bit, and the warm run
     # reproduces the cold run over the full million steps.
     prefix = simulate(_bench_system(), env,
-                      duration=LEGACY_STEPS * FAST_DT, dt=FAST_DT,
-                      fast="codegen")
+                      duration=LEGACY_STEPS * FAST_DT, dt=FAST_DT)
     for column in ("harvest_delivered", "stored_energy", "node_consumed"):
         assert np.array_equal(prefix.recorder.column(column),
                               legacy.recorder.column(column)), column
@@ -214,8 +226,7 @@ def test_bench_kernel_non_supercap_system():
     legacy_rate = (time.perf_counter() - t0) / n_steps
 
     t0 = time.perf_counter()
-    fast = simulate(build_system("D"), env, duration=duration, dt=dt,
-                    fast=True)
+    fast = simulate(build_system("D"), env, duration=duration, dt=dt)
     fast_rate = (time.perf_counter() - t0) / n_steps
 
     assert fast.execution_path == "kernel"
@@ -359,7 +370,8 @@ def test_bench_masked_lane_table1_grid():
 
 def test_bench_sweep_fanout_matches_sequential(once):
     """8-scenario sweep: parallel fan-out on the per-scenario tiers (one
-    group of 8 lanes is below the lockstep width), metrics identical to
+    group of 8 lanes is below the lockstep width), where each reference
+    platform runs the fused codegen tier, metrics identical to
     sequential simulate() calls."""
     areas = [10.0 + 10.0 * k for k in range(8)]
     duration = 2 * DAY
@@ -376,7 +388,7 @@ def test_bench_sweep_fanout_matches_sequential(once):
 
     runner = SweepRunner()
     sweep = once(runner.run, specs)
-    assert [r.execution_path for r in sweep] == ["kernel"] * len(specs)
+    assert [r.execution_path for r in sweep] == ["codegen"] * len(specs)
 
     t0 = time.perf_counter()
     for spec, scenario in zip(specs, sweep):

@@ -37,14 +37,12 @@ and running a :class:`~repro.spec.RunSpec`, and the exact spec any
 invocation executes can be exported with ``spec`` and replayed with
 ``run`` — the config-file path to the same numbers.
 
-``simulate``/``run``/``sweep`` accept ``--fast {auto,codegen,on,off}``
-to pin the engine path: ``on`` requires the compiled kernel, ``off``
-forces the legacy per-step loop, ``codegen`` prefers the fused
-compiled tier (one flat step function for the single-supercapacitor /
-P&O shape — see ``docs/codegen.md``; other systems run the kernel),
-and ``auto`` picks. All paths are bit-for-bit identical; output
-summaries report which one actually ran and, under ``codegen``, why
-the fused tier refused.
+``simulate``/``run``/``sweep`` accept ``--fast {auto,off}``: ``off``
+forces the legacy per-step loop, and ``auto`` compiles the run and
+picks the tier from its shape (the fused codegen step function for the
+single-supercapacitor / P&O platform — see ``docs/codegen.md`` — the
+scalar kernel otherwise). All paths are bit-for-bit identical; output
+summaries report which one actually ran.
 
 Examples::
 
@@ -112,8 +110,7 @@ ENVIRONMENTS = {
 }
 
 #: --fast flag value -> engine `fast` argument.
-FAST_MODES = {"auto": "auto", "on": True, "off": False,
-              "codegen": "codegen"}
+FAST_MODES = {"auto": "auto", "off": False}
 
 EXPERIMENTS = {
     "e3": ("multisource gain", "run_multisource_gain", {}),
@@ -145,14 +142,14 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_fast_flag(subparser):
         subparser.add_argument(
             "--fast", choices=sorted(FAST_MODES), default=None,
-            help="engine path: 'on' requires the compiled kernel, 'off' "
-                 "forces the legacy per-step loop, 'codegen' prefers the "
-                 "fused compiled tier (single-supercapacitor P&O "
-                 "platforms; others run the kernel and the summary says "
-                 "why), 'auto' picks. When the flag is omitted, the "
-                 "spec's own setting applies ('auto' unless a config "
-                 "file says otherwise); "
-                 "the path actually taken is reported in the summary")
+            help="engine path: 'off' forces the legacy per-step loop, "
+                 "'auto' compiles the run and picks the tier from its "
+                 "shape (the fused codegen step function for "
+                 "single-supercapacitor P&O platforms, the scalar kernel "
+                 "otherwise). When the flag is omitted, the spec's own "
+                 "setting applies ('auto' unless a config file says "
+                 "otherwise); the path actually taken is reported in the "
+                 "summary")
 
     def add_catalog_flag(subparser):
         subparser.add_argument(
@@ -497,14 +494,11 @@ def _print_catalog_report(report) -> None:
         print(report)
 
 
-def _print_metrics(title: str, metrics, execution_path=None,
-                   codegen_fallback=None) -> None:
+def _print_metrics(title: str, metrics, execution_path=None) -> None:
     m = metrics
     print(title)
     if execution_path is not None:
         print(f"  execution path        {execution_path}")
-    if codegen_fallback is not None:
-        print(f"  codegen fallback      {codegen_fallback}")
     print(f"  uptime                {m.uptime_fraction * 100:.2f} %")
     print(f"  harvested (raw)       {m.harvested_raw_j:.1f} J")
     print(f"  harvested (to bus)    {m.harvested_delivered_j:.1f} J")
@@ -524,8 +518,7 @@ def _cmd_simulate(args) -> int:
     _print_metrics(
         f"{SYSTEM_NAMES[args.system]} on {args.env}, "
         f"{args.days:g} days (seed {args.seed})", result.metrics,
-        execution_path=result.execution_path,
-        codegen_fallback=result.codegen_fallback)
+        execution_path=result.execution_path)
     return 0
 
 
@@ -565,15 +558,10 @@ def _cmd_run(args) -> int:
                     [scenario])
                 row = sweep[0]
                 metrics, path = row.metrics, row.execution_path
-                fallback = row.extras.get("codegen_fallback_reason")
-                if isinstance(fallback, dict):  # restored from the store
-                    from .simulation.kernel import CapabilityReport
-                    fallback = CapabilityReport(**fallback)
                 report = sweep.catalog_report
             else:
                 result = run(spec, fast=_cli_fast(args))
                 metrics, path = result.metrics, result.execution_path
-                fallback = result.codegen_fallback
                 report = None
         except (KeyError, ValueError, TypeError) as exc:
             print(f"error: cannot execute {args.config}: {exc}",
@@ -581,15 +569,13 @@ def _cmd_run(args) -> int:
             return 2
         if args.json:
             payload = {"name": spec.label, "metrics": metrics,
-                       "execution_path": path,
-                       "codegen_fallback": None if fallback is None
-                       else fallback.as_dict()}
+                       "execution_path": path}
             if report is not None:
                 payload["catalog"] = report.to_dict()
             print(dumps_json(payload))
         else:
             _print_metrics(f"run: {spec.label}", metrics,
-                           execution_path=path, codegen_fallback=fallback)
+                           execution_path=path)
             _print_catalog_report(report)
         return 0
     if isinstance(spec, SweepSpec):
@@ -706,31 +692,26 @@ def _cmd_sweep(args) -> int:
 
 
 def _explain_batch(sweep) -> str:
-    """Capability-report table for rows that missed a compiled tier.
-
-    Renders both kinds of refusal side by side: rows that fell out of
-    the lockstep batched tier (``batch_fallback_reason``) and, under
-    ``--fast codegen``, fallback lanes that missed the fused codegen
-    tier (``codegen_fallback_reason``).
-    """
+    """Capability-report table for rows the lockstep batched tier
+    refused (``batch_fallback_reason``); a row restored from a catalog
+    carries the report in its dict form."""
     from .analysis.reporting import render_table
+    from .simulation.kernel import CapabilityReport
     body = []
     for result in sweep:
-        for tier, key in (("batched", "batch_fallback_reason"),
-                          ("codegen", "codegen_fallback_reason")):
-            report = result.extras.get(key)
-            if report is None:
-                continue
-            body.append((result.name, result.execution_path, tier,
-                         getattr(report, "component", "?"),
-                         getattr(report, "capability", "?"),
-                         getattr(report, "divergence", None) or "-",
-                         getattr(report, "detail", str(report))))
+        report = result.extras.get("batch_fallback_reason")
+        if report is None:
+            continue
+        if isinstance(report, dict):
+            report = CapabilityReport(**report)
+        body.append((result.name, result.execution_path,
+                     report.component, report.capability,
+                     report.divergence or "-", report.detail))
     if not body:
         return ("compiled tiers: every scenario rode a compiled path "
                 "(no capability refusals)")
     return render_table(
-        ("scenario", "path", "tier", "component", "missing capability",
+        ("scenario", "path", "component", "missing capability",
          "divergence", "detail"),
         body,
         title=f"compiled tiers: {len(body)} capability refusal(s)")

@@ -31,7 +31,7 @@ import time
 from collections import Counter
 
 from ..environment.compiled import CompiledEnvironment
-from .engine import SimulationResult
+from .engine import SimulationResult, check_fast
 from .events import EventSchedule, SimEvent
 from .kernel.batched import BatchedPlan, group_signature, run_batched
 from .kernel.protocol import CapabilityReport, LoweringUnsupported
@@ -108,7 +108,8 @@ def run_batched_tier(specs, default_fast, on_result=None,
         reasons[index] = report
 
     for index, spec in enumerate(specs):
-        scenario_fast = spec.fast if spec.fast != "auto" else default_fast
+        scenario_fast = check_fast(
+            spec.fast if spec.fast != "auto" else default_fast)
         if scenario_fast is False:
             refuse(index, spec, CapabilityReport(
                 component="scenario", capability="compiled execution",

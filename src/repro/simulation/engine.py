@@ -15,10 +15,11 @@ run` calls) identical to one long run.
 
 Two execution paths produce bit-for-bit identical results:
 
-* the **legacy per-step path** — ``environment.sample`` + ``system.step``
-  per step, retaining full :class:`SystemStepRecord` objects;
-* the **compiled kernel** (``fast="auto"``/``True``) — ambient channels
-  pre-materialized into a dense matrix by
+* the **legacy per-step path** (``fast=False``) — ``environment.sample``
+  + ``system.step`` per step, retaining full :class:`SystemStepRecord`
+  objects;
+* the **compiled path** (``fast="auto"``, the default) — ambient
+  channels pre-materialized into a dense matrix by
   :class:`~repro.environment.CompiledEnvironment`, every component
   lowered to specialized per-step closures
   (:mod:`repro.simulation.kernel`), and the hot loop writing the
@@ -26,18 +27,17 @@ Two execution paths produce bit-for-bit identical results:
   node and manager lowers — subclasses through their own methods — so
   only an orchestration subclass (a system, bank, channel or
   conditioner overriding the step phases the kernel replicates) stays
-  on the legacy path: chosen before step 0 under ``fast="auto"``, a
-  ``ValueError`` under ``fast=True``.
+  on the legacy path, chosen before step 0.
 
-A third tier, ``fast="codegen"``, compiles the *same* kernel plan one
-step further for one platform shape: :mod:`repro.simulation.kernel.codegen`
-emits the fused step-function source for a single-supercapacitor / P&O /
-buck-boost system and caches the compiled function in-process,
-eliminating per-component closure dispatch entirely. It honours the
-kernel's numerics contract, so its recorded columns are bit-for-bit
-identical to both other paths. Any other shape runs the scalar kernel
-(or legacy, outside the kernel envelope) and the refusal is reported on
-:attr:`SimulationResult.codegen_fallback`.
+The compiled path picks its tier from the plan. Every plan is offered
+to :func:`~repro.simulation.kernel.codegen.prepare_codegen`, which
+accepts one platform shape — a single-supercapacitor / P&O / buck-boost
+system — and emits it as one fused step function, compiled once per
+process per structure, with no per-component closure dispatch at all.
+It runs as ``"codegen"``; a mid-run event hands the rest of the segment
+to the scalar kernel (``"codegen+kernel"``). Every other plan runs on
+the scalar kernel, ``"kernel"``. :attr:`SimulationResult.execution_path`
+reports the tier that ran.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from ..environment.ambient import Environment
 from ..environment.compiled import CompiledEnvironment
 from .events import EventSchedule, SimEvent
 from .kernel.codegen import prepare_codegen
-from .kernel.plan import KernelPlan, run_plan, why_ineligible
+from .kernel.plan import KernelPlan, run_plan
 from .kernel.protocol import LoweringUnsupported
 from .metrics import RunMetrics, compute_metrics
 from .recorder import Recorder
@@ -55,25 +55,30 @@ from .recorder import Recorder
 __all__ = ["Simulator", "SimulationResult", "simulate"]
 
 
+def check_fast(fast):
+    """``fast`` itself when it is an engine-path selector, else ValueError.
+
+    ``"auto"`` runs the compiled path, ``False`` the legacy loop. Every
+    layer that takes or forwards a ``fast`` checks it here, so no value
+    is accepted on one tier and refused on another.
+    """
+    if fast != "auto" and fast is not False:
+        raise ValueError(f"fast must be 'auto' or False, got {fast!r}")
+    return fast
+
+
 class SimulationResult:
     """Bundle of a run's recorder, metrics, and final system state."""
 
     def __init__(self, system: MultiSourceSystem, recorder: Recorder,
-                 metrics: RunMetrics, execution_path: str = "legacy",
-                 codegen_fallback=None):
+                 metrics: RunMetrics, execution_path: str = "legacy"):
         self.system = system
         self.recorder = recorder
         self.metrics = metrics
-        #: Which engine path actually ran: ``"kernel"``, ``"legacy"``,
-        #: or — under ``fast="codegen"`` on the fused shape —
-        #: ``"codegen"`` / ``"codegen+kernel"`` (an event handed the
-        #: rest of the segment to the scalar kernel).
+        #: Which engine path actually ran: ``"codegen"`` (the fused
+        #: shape), ``"codegen+kernel"`` (an event handed the rest of the
+        #: segment to the scalar kernel), ``"kernel"`` or ``"legacy"``.
         self.execution_path = execution_path
-        #: Under ``fast="codegen"``, the :class:`~repro.simulation.
-        #: kernel.protocol.CapabilityReport` naming the first component
-        #: outside the fused envelope (or outside the kernel, when the
-        #: run fell to legacy); ``None`` when codegen ran.
-        self.codegen_fallback = codegen_fallback
 
     def __repr__(self) -> str:
         m = self.metrics
@@ -99,24 +104,18 @@ class Simulator:
         Override simulation step, seconds.
     fast:
         ``"auto"`` (default) compiles the system onto the kernel
-        (:mod:`repro.simulation.kernel`) and runs the legacy per-step
-        path only for a system with an orchestration subclass, decided
-        before step 0. ``True`` *requires* the kernel: construction
-        raises ``ValueError`` for such a system. ``False`` forces the
-        legacy path.
-        ``"codegen"`` prefers the fused compiled tier
-        (:mod:`repro.simulation.kernel.codegen`): on the fused platform
-        shape the kernel plan is emitted as one flat step function and
-        compiled once per process, and a mid-run event hands off to the
-        scalar kernel (``"codegen+kernel"``); any other system runs as
-        under ``"auto"`` with the refusal reported on
-        :attr:`SimulationResult.codegen_fallback`. All
-        paths produce bit-for-bit identical recorded columns; the path
-        that actually ran is reported as :attr:`SimulationResult.
-        execution_path` / :attr:`last_execution_path`. On every
-        compiled path, a scheduled event that installs an orchestration
-        subclass mid-run raises :exc:`~repro.simulation.kernel.
-        protocol.LoweringUnsupported` naming it.
+        (:mod:`repro.simulation.kernel`) and runs the fused codegen step
+        function where :func:`~repro.simulation.kernel.codegen.
+        prepare_codegen` accepts the plan, the scalar kernel otherwise;
+        a system with an orchestration subclass runs the legacy
+        per-step path, decided before step 0. ``False`` forces the
+        legacy path. All paths produce bit-for-bit identical recorded
+        columns; the path that actually ran is reported as
+        :attr:`SimulationResult.execution_path` /
+        :attr:`last_execution_path`. On every compiled path, a scheduled
+        event that installs an orchestration subclass mid-run raises
+        :exc:`~repro.simulation.kernel.protocol.LoweringUnsupported`
+        naming it.
     """
 
     def __init__(self, system: MultiSourceSystem, environment: Environment,
@@ -126,17 +125,7 @@ class Simulator:
         self.dt = dt if dt is not None else environment.dt
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if fast not in ("auto", True, False, "codegen"):
-            raise ValueError(
-                f"fast must be 'auto', 'codegen', True or False, "
-                f"got {fast!r}")
-        if fast is True:
-            reason = why_ineligible(system, self.dt)
-            if reason is not None:
-                raise ValueError(
-                    f"fast=True but the system is outside the kernel "
-                    f"envelope: {reason}")
-        self.fast = fast
+        self.fast = check_fast(fast)
         if isinstance(events, EventSchedule):
             self.events = events
         else:
@@ -174,17 +163,11 @@ class Simulator:
         n_steps = max(1, int(round(duration / self.dt)))
         system, dt, t0 = self.system, self.dt, self._t0
         plan = None
-        codegen_fallback = None
-        if self.fast in ("auto", True, "codegen"):
+        if self.fast == "auto":
             try:
                 plan = KernelPlan.compile(system, dt)
-            except LoweringUnsupported as exc:
-                if self.fast is True:
-                    raise ValueError(
-                        f"fast=True but the system is outside the kernel "
-                        f"envelope: {exc}") from exc
-                if self.fast == "codegen":
-                    codegen_fallback = exc.capability_report()
+            except LoweringUnsupported:
+                pass  # an orchestration subclass: the legacy loop runs it
         recorder = Recorder(dt, keep_records=plan is None)
         recorder.reserve(n_steps, len(system.bank.stores),
                          len(system.channels))
@@ -192,12 +175,10 @@ class Simulator:
             compiled = CompiledEnvironment(
                 self.environment, t0, n_steps, dt,
                 step_offset=self._steps_done)
-            runner = None
-            if self.fast == "codegen":
-                try:
-                    runner = prepare_codegen(plan, compiled)
-                except LoweringUnsupported as exc:
-                    codegen_fallback = exc.capability_report()
+            try:
+                runner = prepare_codegen(plan, compiled)
+            except LoweringUnsupported:
+                runner = None  # outside the fused shape: the scalar kernel
             i = 0
             if runner is not None:
                 # Fused tier first; an event boundary hands the
@@ -223,8 +204,7 @@ class Simulator:
         self._steps_done += n_steps
         self.last_execution_path = path
         return SimulationResult(system, recorder, compute_metrics(recorder),
-                                execution_path=path,
-                                codegen_fallback=codegen_fallback)
+                                execution_path=path)
 
 
 def simulate(system: MultiSourceSystem, environment: Environment,

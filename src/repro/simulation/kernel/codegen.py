@@ -8,37 +8,40 @@ and at most a zero-wakeup :class:`~repro.core.manager.StaticManager` —
 this module emits the whole step as straight-line Python over plain
 float locals: the supercapacitor three-branch physics, the buck-boost
 knee/fixed-point, the P&O bookkeeping and the node brown-out state
-machine, with the hoisted run constants baked in as literals (no
-attribute access, no call dispatch in the hot loop). The leaf harvester
-physics (``open_circuit_voltage`` / ``power_at`` / ``max_power``)
-remains as bound-method calls, behind pure single-slot memos keyed on
-the ambient value, and the P&O control updates go through the scalar
-kernel's limit-cycle fast-forward,
+machine, with the hoisted run constants unpacked into locals once per
+segment (no attribute access, no call dispatch in the hot loop). The
+leaf harvester physics (``open_circuit_voltage`` / ``power_at`` /
+``max_power``) remains as bound-method calls, behind pure single-slot
+memos keyed on the ambient value, and the P&O control updates go
+through the scalar kernel's limit-cycle fast-forward,
 :func:`~repro.conditioning.mppt.perturb_observe_updates`.
 
-A plan outside that envelope makes :func:`prepare_codegen` raise
+The engine offers every compiled plan to :func:`prepare_codegen` under
+``fast="auto"`` and runs the fused step function when it accepts the
+plan. A plan outside the envelope makes it raise
 :exc:`~.protocol.LoweringUnsupported` naming the first component the
-emitter cannot fuse; the engine then runs the plan on the scalar kernel
-and reports the refusal as ``SimulationResult.codegen_fallback``.
+emitter cannot fuse, and the engine runs the plan on the scalar kernel.
 
 Numerics contract (PR 4): the emitted code performs the same
 floating-point operations in the same order as the scalar kernel —
 state squarings stay ``v * v``, exact-libm call sites (``math.sqrt``,
-the hoisted ``math.exp`` constants) are preserved, float literals are
-baked with ``repr`` (shortest round-trip, exact), and every branch /
-early return / accumulator of the component code is replicated. The
-fused path is bitwise identical to the legacy and scalar-kernel paths;
-the differential and determinism suites enforce it.
+the hoisted ``math.exp`` constants) are preserved, run constants are
+the very floats the kernel hoists, and every branch / early return /
+accumulator of the component code is replicated. The fused path is
+bitwise identical to the legacy and scalar-kernel paths; the
+differential and determinism suites enforce it.
 
 Scheduled events never fire inside generated code: the loop breaks at
 the event boundary, writes its locals back to the component objects,
 and the engine finishes the segment on the scalar kernel (which fires
 the event at its loop top) — mirroring the batched tier's peel-out.
 
-Compile cache: the emitted source is a pure function of the fused
-configuration's signature (every baked literal and emission branch), so
-compiled step functions are cached in-process on that signature and a
-second identical run performs zero compilations.
+Compile cache: the emitted source depends only on the fused structure
+— the emission branches, the channel count and which channels have an
+ambient column — while the run constants arrive as a tuple of floats
+the generated prologue unpacks. Compiled step functions are cached
+in-process on that structure, so every configuration of one shape
+shares one compilation and a second run of it performs none.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ __all__ = ["prepare_codegen", "codegen_stats", "clear_codegen_cache"]
 
 _INF = float("inf")
 
-#: Compiled step functions keyed on the fused configuration's ``sig``.
+#: Compiled step functions keyed on the fused structure's ``sig``.
 _COMPILED: dict = {}
 
 _STATS = {
@@ -75,28 +78,9 @@ def clear_codegen_cache() -> None:
     _COMPILED.clear()
 
 
-# ----------------------------------------------------------------------
-# Literal baking
-# ----------------------------------------------------------------------
-def _lit(x) -> str:
-    """Bake a run constant as an exact Python literal.
-
-    ``repr`` of a float is the shortest round-trip representation —
-    parsing it back yields the identical bits, so hoisted constants in
-    generated source equal the closure-captured ones exactly.
-    """
-    f = float(x)
-    if f != f:
-        return "float('nan')"
-    if f == _INF:
-        return "float('inf')"
-    if f == -_INF:
-        return "-float('inf')"
-    return repr(f)
-
-
 def _compiled_step(cfg):
-    """The step function for ``cfg``, emitted and compiled once per process.
+    """The step function for the structure ``cfg`` describes, emitted
+    and compiled once per process.
 
     The hit counter only increments here: one warm ``simulate`` is one
     hit and zero compilations, which the warm-cache tests assert.
@@ -119,7 +103,7 @@ def _compiled_step(cfg):
 # ----------------------------------------------------------------------
 _SIGNATURE = ("def _codegen_run(system, times, avs, scalars, state_arr, "
               "store_e, store_v, chan_p, base, next_event_t, n_steps, "
-              "start, ctx):")
+              "start, ctx, consts):")
 
 _SCALAR_COLS = (
     ("col_t", "t"), ("col_raw", "harvest_raw"),
@@ -150,11 +134,12 @@ class CodegenRunner:
     batched tier's peel-out.
     """
 
-    __slots__ = ("system", "step_fn", "_avs", "_times")
+    __slots__ = ("system", "step_fn", "consts", "_avs", "_times")
 
-    def __init__(self, plan, compiled, step_fn):
+    def __init__(self, plan, compiled, step_fn, consts):
         self.system = plan.system
         self.step_fn = step_fn
+        self.consts = consts
         self._times = compiled.times_list()
 
         def values_for(source):
@@ -173,7 +158,7 @@ class CodegenRunner:
         done = self.step_fn(
             self.system, self._times, self._avs, scalars, state_arr,
             store_e, store_v, chan_p, base, schedule.next_time(), n_steps,
-            start, _CTX)
+            start, _CTX, self.consts)
         if done == n_steps:
             recorder.commit(n_steps)
         return done
@@ -188,8 +173,8 @@ def prepare_codegen(plan, compiled) -> CodegenRunner:
     """
     has_cols = tuple(compiled.column_of(lw.source_type) is not None
                      for lw in plan.lowering.channels)
-    step_fn = _compiled_step(_fused_config(plan, has_cols))
-    return CodegenRunner(plan, compiled, step_fn)
+    cfg, consts = _fused_config(plan, has_cols)
+    return CodegenRunner(plan, compiled, _compiled_step(cfg), consts)
 
 
 # ----------------------------------------------------------------------
@@ -208,21 +193,30 @@ def _require(obj, cls: type) -> None:
                             f"class the fused emission inlines there")
 
 
-def _fused_config(plan, has_cols) -> dict:
-    """Collect the fused emission's baked constants.
+def _fused_config(plan, has_cols) -> tuple:
+    """The fused emission's structure and run constants for ``plan``.
 
     The fused emitter inlines exact twins of specific component
     classes, so it engages only when every component *is* (not merely
-    derives from) the class whose arithmetic it bakes: one
+    derives from) the class whose arithmetic it inlines: one
     :class:`Supercapacitor` behind a plain bank, buck-boost output,
-    P&O + buck-boost channels over library harvesters, a plain node,
-    and at most a zero-wakeup :class:`StaticManager`. Anything else
-    raises :exc:`LoweringUnsupported` naming the first component that
-    falls outside.
+    P&O + buck-boost channels over library harvesters with the
+    library's own ``PerturbObserve.step`` on the class (the rule
+    :meth:`PerturbObserve.lower_kernel` uses), a plain node, and at most
+    a zero-wakeup :class:`StaticManager`. Anything else raises
+    :exc:`LoweringUnsupported` naming the first component that falls
+    outside.
+
+    Returns ``(cfg, consts)``. ``cfg`` is everything the emitted source
+    depends on: the emission branches, the channel count, which
+    channels have an ambient column, and the local name of each run
+    constant; ``cfg["sig"]`` keys the compile cache on it. ``consts``
+    holds the run constants as floats, in the order of
+    ``cfg["names"]``, which the generated prologue unpacks.
     """
     from ...conditioning.base import InputConditioner, OutputConditioner
     from ...conditioning.converters import BuckBoostConverter
-    from ...conditioning.mppt import PerturbObserve
+    from ...conditioning.mppt import _PERTURB_OBSERVE_STEP, PerturbObserve
     from ...core.manager import StaticManager
     from ...core.system import (
         HarvestingChannel,
@@ -261,6 +255,13 @@ def _fused_config(plan, has_cols) -> dict:
     _require(oconv, BuckBoostConverter)
     node = system.node
     _require(node, WirelessSensorNode)
+    consts: dict = {}
+
+    def const(name: str, value) -> str:
+        """Register a run constant; its local name in the emitted code."""
+        consts[name] = float(value)
+        return name
+
     channels = []
     for k, ch in enumerate(system.channels):
         _require(ch, HarvestingChannel)
@@ -270,6 +271,10 @@ def _fused_config(plan, has_cols) -> dict:
         _require(cond, InputConditioner)
         tracker = cond.tracker
         _require(tracker, PerturbObserve)
+        if type(tracker).step is not _PERTURB_OBSERVE_STEP:
+            raise _outside(tracker, "has a step installed on its class; "
+                                    "the fused emission inlines the "
+                                    "library's own")
         cconv = cond.converter
         _require(cconv, BuckBoostConverter)
         if not is_library_harvester(ch.harvester):
@@ -278,12 +283,12 @@ def _fused_config(plan, has_cols) -> dict:
                                          "assume pure")
         channels.append({
             "has_col": bool(has_cols[k]),
-            "period": _lit(tracker.update_period),
-            "frac": _lit(tracker.step_fraction),
-            "cvlo": _lit(cconv.min_input_voltage),
-            "cvhi": _lit(cconv.max_input_voltage),
-            "cpeak": _lit(cconv.peak_efficiency),
-            "cover": _lit(cconv.overhead_power),
+            "period": const(f"PERIOD_{k}", tracker.update_period),
+            "frac": const(f"FRAC_{k}", tracker.step_fraction),
+            "cvlo": const(f"CVLO_{k}", cconv.min_input_voltage),
+            "cvhi": const(f"CVHI_{k}", cconv.max_input_voltage),
+            "cpeak": const(f"CPEAK_{k}", cconv.peak_efficiency),
+            "cover": const(f"COVER_{k}", cconv.overhead_power),
         })
     demand_run = (node.sleep_power_w +
                   node.measurement_energy() / node.measurement_interval_s)
@@ -296,34 +301,39 @@ def _fused_config(plan, has_cols) -> dict:
     (c_fast, c_slow, half_cs, cap_f, capacity_j, min_v2, full_e,
      floor_e, half_cf, alpha, leak) = store._kernel_consts(dt)
     cfg = {
-        "dt": _lit(dt),
-        "tq": _lit(lowering.quiescent_a),
-        "c_fast": _lit(c_fast), "c_slow": _lit(c_slow),
-        "half_cs": _lit(half_cs), "cap_f": _lit(cap_f),
-        "capacity": _lit(capacity_j), "min_v2": _lit(min_v2),
-        "full_e": _lit(full_e), "floor_e": _lit(floor_e),
-        "half_cf": _lit(half_cf), "alpha": _lit(alpha), "leak": _lit(leak),
+        "dt": const("DT", dt),
+        "tq": const("TQ", lowering.quiescent_a),
+        "c_fast": const("C_FAST", c_fast), "c_slow": const("C_SLOW", c_slow),
+        "half_cs": const("HALF_CS", half_cs), "cap_f": const("CAP_F", cap_f),
+        "capacity": const("CAPACITY", capacity_j),
+        "min_v2": const("MIN_V2", min_v2),
+        "full_e": const("FULL_E", full_e),
+        "floor_e": const("FLOOR_E", floor_e),
+        "half_cf": const("HALF_CF", half_cf), "alpha": const("ALPHA", alpha),
+        "leak": const("LEAK", leak),
         "has_slow": c_slow > 0.0,
         "max_d": (None if store.max_discharge_w == _INF
-                  else _lit(store.max_discharge_w)),
-        "sleep": _lit(node.sleep_power_w),
-        "reboot_power": _lit(reboot_power),
-        "reboot_time": _lit(node.reboot_time_s),
-        "demand_run": _lit(demand_run),
-        "full_rate": _lit(dt / node.measurement_interval_s),
-        "needed_margin": _lit(needed_margin),
+                  else const("MAX_D", store.max_discharge_w)),
+        "sleep": const("SLEEP", node.sleep_power_w),
+        "reboot_power": const("REBOOT_POWER", reboot_power),
+        "reboot_time": const("REBOOT_TIME", node.reboot_time_s),
+        "demand_run": const("DEMAND_RUN", demand_run),
+        "full_rate": const("FULL_RATE", dt / node.measurement_interval_s),
+        "needed_margin": const("NEEDED_MARGIN", needed_margin),
         "no_margin": needed_margin <= 0.0,
-        "out_min_v": _lit(output.min_input_voltage),
-        "opeak": _lit(oconv.peak_efficiency),
-        "oover": _lit(oconv.overhead_power),
-        "ovlo": _lit(oconv.min_input_voltage),
-        "ovhi": _lit(oconv.max_input_voltage),
+        "out_min_v": const("OUT_MIN_V", output.min_input_voltage),
+        "opeak": const("OPEAK", oconv.peak_efficiency),
+        "oover": const("OOVER", oconv.overhead_power),
+        "ovlo": const("OVLO", oconv.min_input_voltage),
+        "ovhi": const("OVHI", oconv.max_input_voltage),
         "manager": mgr is not None,
-        "mgr_period": _lit(mgr.control_period) if mgr is not None else None,
+        "mgr_period": (const("MGR_PERIOD", mgr.control_period)
+                       if mgr is not None else None),
         "channels": channels,
+        "names": tuple(consts),
     }
     cfg["sig"] = repr([(key, cfg[key]) for key in sorted(cfg)])
-    return cfg
+    return cfg, tuple(consts.values())
 
 
 # ----------------------------------------------------------------------
@@ -429,6 +439,7 @@ def _emit_fused(c) -> str:
     A("    _min = min")
     A("    _max = max")
     A("    INF = float('inf')")
+    A(f"    ({', '.join(c['names'])},) = consts")
     A("    node = system.node")
     A("    bank = system.bank")
     A("    store = bank.stores[0]")

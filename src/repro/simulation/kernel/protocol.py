@@ -33,10 +33,9 @@ Contract for every lowering closure:
   or conditioner subclass — have no such closure and refuse.
 
 A hook signals "no lowering" by raising :exc:`LoweringUnsupported`. The
-engine turns a refusal before step 0 into the legacy path (or a
-``ValueError`` under ``fast=True``); a refusal after a mid-run event
-propagates. The batched tier keeps every refusal, since per-lane method
-calls would defeat vectorization.
+engine turns a refusal before step 0 into the legacy path; a refusal
+after a mid-run event propagates. The batched tier keeps every refusal,
+since per-lane method calls would defeat vectorization.
 """
 
 from __future__ import annotations

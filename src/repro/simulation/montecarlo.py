@@ -337,7 +337,8 @@ def run_ensemble(spec, replicates: int | None = None, *,
     processes:
         Worker count for the multiprocessing tier.
     fast:
-        Engine path default for replicates whose spec says ``"auto"``.
+        Engine path default for replicates whose spec says ``"auto"``:
+        ``"auto"`` or ``False``.
     stream:
         Seed-stream index (see :func:`replicate_seeds`).
     catalog:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 from ..environment.ambient import Environment
 from ..spec.specs import EnvironmentSpec, SystemSpec
-from .engine import simulate
+from .engine import check_fast, simulate
 from .metrics import RunMetrics
 
 __all__ = ["ScenarioSpec", "ScenarioResult", "SweepResult", "SweepRunner"]
@@ -82,8 +82,9 @@ class ScenarioSpec:
         extract extra per-scenario values (e.g. a coverage fraction from
         the recorder) that plain metrics do not carry.
     fast:
-        Engine path selection for this scenario (see
-        :func:`~repro.simulation.simulate`).
+        Engine path selection for this scenario: ``"auto"`` (compiled,
+        the engine picks the tier) or ``False`` (legacy per-step loop);
+        see :func:`~repro.simulation.simulate`.
     """
 
     name: str
@@ -108,7 +109,7 @@ class ScenarioResult:
     n_steps: int
     extras: dict
     #: Engine path that actually ran this scenario: the engine's
-    #: ("kernel", "legacy", "codegen", "codegen+kernel") or the batched
+    #: ("codegen", "codegen+kernel", "kernel", "legacy") or the batched
     #: tier's ("batched", "batched+kernel" for a lane peeled mid-run).
     execution_path: str = "legacy"
 
@@ -199,8 +200,14 @@ def _build_system(spec: ScenarioSpec):
 
 
 def _execute(payload) -> ScenarioResult:
-    """Run one scenario to a picklable result row."""
-    spec, fast = payload
+    """Run one scenario to a picklable result row.
+
+    ``payload`` is ``(spec, fast, batch_fallback_reason)``: the runner's
+    default ``fast`` and the batched tier's capability report for a row
+    it refused (None otherwise), which the row carries in its extras —
+    so an archived row keeps it too.
+    """
+    spec, fast, batch_fallback_reason = payload
     system = _build_system(spec)
     environment = _build_environment(spec)
     events = spec.events() if callable(spec.events) else spec.events
@@ -208,8 +215,8 @@ def _execute(payload) -> ScenarioResult:
     result = simulate(system, environment, duration=spec.duration,
                       events=events, dt=spec.dt, fast=scenario_fast)
     extras = spec.collect(result) if spec.collect is not None else {}
-    if result.codegen_fallback is not None:
-        extras.setdefault("codegen_fallback_reason", result.codegen_fallback)
+    if batch_fallback_reason is not None:
+        extras.setdefault("batch_fallback_reason", batch_fallback_reason)
     return ScenarioResult(
         name=spec.name,
         params=dict(spec.params),
@@ -250,10 +257,11 @@ class SweepRunner:
     ``"codegen"``, ``"kernel"``, ``"legacy"``, or a ``+``-joined
     combination when a mid-run event forced a handoff). Per-scenario
     rows run the scenario's ``fast`` setting like a plain
-    :func:`~repro.simulation.simulate` call. Rows the batched envelope
-    refused carry its ``batch_fallback_reason`` in their extras (rows
-    routed off it for width carry none), and under ``fast="codegen"``
-    rows that missed the fused tier carry ``codegen_fallback_reason``.
+    :func:`~repro.simulation.simulate` call, so under ``"auto"`` the
+    engine picks the fused codegen tier or the scalar kernel from the
+    plan. Rows the batched envelope refused carry its
+    ``batch_fallback_reason`` in their extras (rows routed off it for
+    width carry none), archived and restored rows included.
 
     Parameters
     ----------
@@ -262,7 +270,8 @@ class SweepRunner:
         uses ``min(cpu_count, n_scenarios)``; ``0`` or ``1`` runs
         in-process.
     fast:
-        Default engine path for scenarios whose spec says ``"auto"``.
+        Default engine path for scenarios whose spec says ``"auto"``:
+        ``"auto"`` or ``False`` (``ValueError`` otherwise).
     batch:
         ``"auto"`` uses the batched tier for eligible groups of at least
         ``LOCKSTEP_MIN_LANES`` lanes and runs the rest per scenario;
@@ -288,7 +297,7 @@ class SweepRunner:
             raise ValueError(
                 f"batch must be 'auto', True or False, got {batch!r}")
         self.processes = processes
-        self.fast = fast
+        self.fast = check_fast(fast)
         self.batch = batch
         self.catalog = catalog
 
@@ -331,7 +340,12 @@ class SweepRunner:
                          for i, spec in local_remainder.items()}
             reasons = {pending[i]: r for i, r in local_reasons.items()}
         indices = list(remainder)
-        payloads = [(remainder[i], self.fast) for i in indices]
+        # Refused rows carry the batched tier's capability report, so a
+        # mixed sweep explains *why* each row missed the tier (``repro
+        # sweep --batch on --explain`` renders these); rows routed off
+        # it for their group's width carry none.
+        payloads = [(remainder[i], self.fast, reasons.get(i))
+                    for i in indices]
         n_proc = self.processes
         if n_proc is None:
             n_proc = min(len(payloads), os.cpu_count() or 1) if payloads \
@@ -343,13 +357,6 @@ class SweepRunner:
             rest = self._run_inprocess(payloads, indices, keys, report)
         for index, result in zip(indices, rest):
             results[index] = result
-            # Refused rows carry the batched tier's capability report,
-            # so a mixed sweep explains *why* each row missed the tier
-            # (``repro sweep --batch on --explain`` renders these); rows
-            # routed off it for their group's width carry none.
-            fallback = reasons.get(index)
-            if fallback is not None:
-                result.extras.setdefault("batch_fallback_reason", fallback)
         return SweepResult(results, catalog_report=report)
 
     # ------------------------------------------------------------------

@@ -187,7 +187,7 @@ def run_sweep(spec: SweepSpec, *, processes: int | None = None, fast=None,
     :class:`~repro.simulation.SweepResult` in input order.
 
     ``fast`` (when given) overrides the engine-path selection of every
-    scenario — how the CLI's ``--fast on/off`` reaches a sweep.
+    scenario — how the CLI's ``--fast`` reaches a sweep.
     ``batch`` selects the lockstep batched tier (``"auto"``/``True``/
     ``False``, see :class:`~repro.simulation.SweepRunner`). ``catalog``
     (a :class:`~repro.catalog.Catalog`) enables the dedup cache and

@@ -29,6 +29,24 @@ def indoor_env() -> Environment:
 
 
 @pytest.fixture
+def refuse_codegen(monkeypatch):
+    """Make the engine's fused codegen attempt refuse every plan.
+
+    Under ``fast="auto"`` a fused-shape run (the single-supercapacitor /
+    P&O platform) then takes the scalar kernel, ``run_plan``, as every
+    other shape does; tests meant for the scalar kernel use this.
+    """
+    from repro.simulation import engine
+    from repro.simulation.kernel import LoweringUnsupported
+
+    def refuse(plan, compiled):
+        raise LoweringUnsupported("fused codegen refused by the test",
+                                  capability="fused codegen emission")
+
+    monkeypatch.setattr(engine, "prepare_codegen", refuse)
+
+
+@pytest.fixture
 def flat_light_env() -> Environment:
     """Constant 500 W/m^2 light for analytic comparisons."""
     return Environment(

@@ -192,7 +192,7 @@ class TestBitExactness:
             reference = simulate(
                 build_system(letter, initial_soc=0.25 + 0.15 * k),
                 envf(duration=DAY, dt=300.0, seed=40 + k),
-                duration=DAY, fast=True)
+                duration=DAY)
             assert reference.execution_path == "kernel"
             assert_bitwise_equal(result.recorder, reference.recorder,
                                  row.name)
@@ -219,7 +219,7 @@ class TestBitExactness:
             reference = simulate(
                 build_fixed_pv(cap),
                 outdoor_environment(duration=DAY, dt=300.0, seed=seed),
-                duration=DAY, fast=True)
+                duration=DAY)
             assert_bitwise_equal(result.recorder, reference.recorder,
                                  row.name)
             assert row.metrics == reference.metrics
@@ -239,7 +239,7 @@ class TestBitExactness:
         assert all(r.execution_path == "batched" for r in sweep)
         for row, result in zip(sweep, captured):
             reference = simulate(build_fixed_pv(row.params["cap"]), env,
-                                 duration=DAY, fast=True)
+                                 duration=DAY)
             assert_bitwise_equal(result.recorder, reference.recorder,
                                  row.name)
             assert row.metrics == reference.metrics
@@ -263,7 +263,7 @@ class TestBitExactness:
             reference = simulate(
                 build_system("D", initial_soc=0.2 + 0.2 * k),
                 outdoor_environment(duration=DAY, dt=300.0, seed=5),
-                duration=DAY, fast=True)
+                duration=DAY)
             system, ref = result.system, reference.system
             assert system.node.state == ref.node.state
             assert system.node.total_measurements == \

@@ -72,7 +72,7 @@ def make_grid(n, *, seed=3, dt=DT):
 
 def run_one(spec):
     """Ground truth: execute one scenario without any catalog."""
-    return sweep_module._execute((spec, "auto"))
+    return sweep_module._execute((spec, "auto", None))
 
 
 def assert_rows_equal(got, want):

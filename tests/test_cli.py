@@ -51,7 +51,7 @@ class TestSimulateCommand:
         legacy_out = capsys.readouterr().out
         assert "execution path        legacy" in legacy_out
         assert main(["simulate", "A", "--days", "0.5", "--dt", "300",
-                     "--fast", "on"]) == 0
+                     "--fast", "auto"]) == 0
         kernel_out = capsys.readouterr().out
         assert "execution path        kernel" in kernel_out
         # Same numbers either way: the paths are bit-for-bit equivalent.
@@ -59,25 +59,29 @@ class TestSimulateCommand:
                            if "execution path" not in line]
         assert strip(kernel_out) == strip(legacy_out)
 
-    def test_codegen_fallback_is_reported(self, tmp_path, capsys):
-        """System C holds two stores, so --fast codegen runs the kernel;
-        the simulate summary and run --json both say why."""
-        assert main(["simulate", "C", "--days", "0.2", "--dt", "600",
-                     "--fast", "codegen"]) == 0
+    @pytest.mark.parametrize("value", ["on", "codegen"])
+    def test_fast_flag_keeps_only_auto_and_off(self, value, capsys):
+        with pytest.raises(SystemExit):
+            main(["simulate", "C", "--days", "0.2", "--dt", "600",
+                  "--fast", value])
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_engine_reports_only_the_path_it_chose(self, tmp_path, capsys):
+        """System C holds two stores, so the engine runs the scalar
+        kernel; the simulate summary and run --json report that path and
+        no codegen fallback."""
+        assert main(["simulate", "C", "--days", "0.2", "--dt", "600"]) == 0
         out = capsys.readouterr().out
         assert "execution path        kernel" in out
-        assert "codegen fallback      StorageBank: missing fused codegen " \
-            "emission" in out
+        assert "codegen fallback" not in out
         main(["spec", "C", "--env", "outdoor", "--days", "0.2",
               "--dt", "600"])
         path = tmp_path / "run.json"
         path.write_text(capsys.readouterr().out)
-        assert main(["run", str(path), "--json", "--fast", "codegen"]) == 0
+        assert main(["run", str(path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["execution_path"] == "kernel"
-        assert payload["codegen_fallback"]["component"] == "StorageBank"
-        assert main(["run", str(path), "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["codegen_fallback"] is None
+        assert "codegen_fallback" not in payload
 
     def test_seed_changes_output(self, capsys):
         main(["simulate", "A", "--days", "0.5", "--dt", "300",
@@ -388,6 +392,25 @@ class TestSweepExplain:
         assert "missing capability" in out
         assert "compiled execution" in out
         assert "fast=False forces the per-scenario legacy path" in out
+
+    @pytest.mark.parametrize("processes", ["1", "2"])
+    def test_warm_catalog_explains_like_a_cold_run(self, tmp_path, capsys,
+                                                   processes):
+        """Rows restored from a catalog keep the batched tier's refusal,
+        on the in-process and pool tiers alike: a warm ``--explain``
+        table equals the cold one."""
+        args = ["sweep", "--systems", "A", "--envs", "outdoor", "indoor",
+                "--days", "0.1", "--dt", "300", "--seed", "3",
+                "--fast", "off", "--explain", "--processes", processes,
+                "--catalog", str(tmp_path / "store")]
+        assert main(args) == 0
+        cold = capsys.readouterr().out
+        assert main(args) == 0
+        warm = capsys.readouterr().out
+        assert "2 hit(s), 0 miss(es)" in warm
+        table = cold[cold.index("compiled tiers"):]
+        assert "fast=False forces the per-scenario legacy path" in table
+        assert warm[warm.index("compiled tiers"):] == table
 
 
 class TestExperimentCommand:

@@ -25,12 +25,19 @@ from repro.harvesters import (
     PhotovoltaicCell,
     ThermoelectricGenerator,
 )
+from repro.environment.compiled import CompiledEnvironment
 from repro.simulation import (
     LoweringUnsupported,
     SimEvent,
     Simulator,
     simulate,
     swap_storage_event,
+)
+from repro.simulation.kernel import (
+    KernelPlan,
+    clear_codegen_cache,
+    codegen_stats,
+    prepare_codegen,
 )
 from repro.storage import AgingStorage, LiPolymerBattery, Supercapacitor
 from repro.systems import SYSTEM_BUILDERS, build_system
@@ -183,7 +190,7 @@ class TestFastPathEquivalence:
         legacy = simulate(_mixed_system(ThresholdManager()), env,
                           duration=duration, dt=dt, fast=False)
         fast = simulate(_mixed_system(ThresholdManager()), env,
-                        duration=duration, dt=dt, fast=True)
+                        duration=duration, dt=dt, fast="auto")
         _assert_recorders_identical(legacy.recorder, fast.recorder)
         assert legacy.metrics == fast.metrics
         assert legacy.execution_path == "legacy"
@@ -194,36 +201,32 @@ class TestFastPathEquivalence:
         """Every Table I platform (A-G) — multi-store banks, batteries,
         LIC-class stores, fuel-cell backup, bus/MCU systems included —
         runs on the compiled kernel bit-for-bit identical to the legacy
-        per-step path."""
+        per-step path. None has the fused shape, so the default run
+        reports ``"kernel"``."""
         dt = 120.0
         duration = 2 * DAY
         env = outdoor_environment(duration=duration, dt=dt, seed=23)
         legacy = simulate(build_system(letter), env, duration=duration,
                           dt=dt, fast=False)
         fast = simulate(build_system(letter), env, duration=duration,
-                        dt=dt, fast=True)
+                        dt=dt)
         assert fast.execution_path == "kernel"
         _assert_recorders_identical(legacy.recorder, fast.recorder)
         assert legacy.metrics == fast.metrics
 
     @pytest.mark.parametrize("letter", sorted(SYSTEM_BUILDERS))
-    def test_table1_system_codegen_bitwise(self, letter):
-        """No Table I platform (A-G) has the fused shape: under
-        ``fast="codegen"`` each runs the scalar kernel, bit-for-bit
-        identical to the legacy per-step path, and reports the first
+    def test_table1_system_refuses_fused_codegen(self, letter):
+        """No Table I platform (A-G) has the fused shape:
+        ``prepare_codegen`` refuses each plan, naming the first
         component outside the fused envelope."""
         dt = 120.0
-        duration = 2 * DAY
-        env = outdoor_environment(duration=duration, dt=dt, seed=23)
-        legacy = simulate(build_system(letter), env, duration=duration,
-                          dt=dt, fast=False)
-        codegen = simulate(build_system(letter), env, duration=duration,
-                           dt=dt, fast="codegen")
-        assert codegen.execution_path == "kernel"
-        assert codegen.codegen_fallback.component == \
+        env = outdoor_environment(duration=DAY, dt=dt, seed=23)
+        plan = KernelPlan.compile(build_system(letter), dt)
+        compiled = CompiledEnvironment(env, 0.0, 16, dt, step_offset=0)
+        with pytest.raises(LoweringUnsupported) as info:
+            prepare_codegen(plan, compiled)
+        assert info.value.capability_report().component == \
             TABLE1_FUSED_REFUSALS[letter]
-        _assert_recorders_identical(legacy.recorder, codegen.recorder)
-        assert legacy.metrics == codegen.metrics
 
     @pytest.mark.parametrize("shape", sorted(FUSED_SHAPES))
     def test_fused_emission_branches_bitwise(self, shape):
@@ -234,14 +237,28 @@ class TestFastPathEquivalence:
         dt = 120.0
         env = make_env(duration=DAY, dt=dt, seed=41)
         legacy = simulate(build(), env, duration=DAY, dt=dt, fast=False)
-        codegen = simulate(build(), env, duration=DAY, dt=dt,
-                           fast="codegen")
+        codegen = simulate(build(), env, duration=DAY, dt=dt)
         assert codegen.execution_path == "codegen"
-        assert codegen.codegen_fallback is None
         _assert_recorders_identical(legacy.recorder, codegen.recorder)
         assert legacy.metrics == codegen.metrics
 
-    def test_codegen_event_hands_off_to_scalar_kernel(self):
+    def test_each_fused_branch_compiles_once(self):
+        """The compile cache keys on the fused structure: after the
+        reference shape, each emission branch adds one compilation, and
+        running it again adds none."""
+        clear_codegen_cache()
+        dt = 600.0
+        env = outdoor_environment(duration=0.1 * DAY, dt=dt, seed=41)
+        assert simulate(_mixed_system(), env).execution_path == "codegen"
+        for shape in sorted(FUSED_SHAPES):
+            build, make_env = FUSED_SHAPES[shape]
+            env = make_env(duration=0.1 * DAY, dt=dt, seed=41)
+            before = codegen_stats()["compiles"]
+            for _ in range(2):
+                assert simulate(build(), env).execution_path == "codegen"
+            assert codegen_stats()["compiles"] == before + 1, shape
+
+    def test_codegen_event_hands_off_to_scalar_kernel(self, request):
         """A mid-run event stops the fused loop at the step boundary;
         the scalar kernel fires the event and finishes the segment.
         The codegen prefix + scalar remainder must equal a pure scalar
@@ -256,17 +273,18 @@ class TestFastPathEquivalence:
 
         legacy = simulate(_mixed_system(), env, duration=DAY, dt=dt,
                           events=events(), fast=False)
-        scalar = simulate(_mixed_system(), env, duration=DAY, dt=dt,
-                          events=events(), fast=True)
         codegen = simulate(_mixed_system(), env, duration=DAY, dt=dt,
-                           events=events(), fast="codegen")
+                           events=events())
+        request.getfixturevalue("refuse_codegen")
+        scalar = simulate(_mixed_system(), env, duration=DAY, dt=dt,
+                          events=events())
         assert scalar.execution_path == "kernel"
         assert codegen.execution_path == "codegen+kernel"
         _assert_recorders_identical(scalar.recorder, codegen.recorder)
         _assert_recorders_identical(legacy.recorder, codegen.recorder)
         assert legacy.metrics == codegen.metrics
 
-    def test_event_rebind_keeps_equivalence(self):
+    def test_event_rebind_keeps_equivalence(self, refuse_codegen):
         """A mid-run supercap hot-swap keeps the kernel eligible; its
         rebind must not perturb a single bit."""
         dt = 120.0
@@ -281,7 +299,7 @@ class TestFastPathEquivalence:
         legacy = simulate(_mixed_system(), env, duration=duration, dt=dt,
                           events=events(), fast=False)
         fast = simulate(_mixed_system(), env, duration=duration, dt=dt,
-                        events=events(), fast=True)
+                        events=events())
         assert fast.execution_path == "kernel"
         _assert_recorders_identical(legacy.recorder, fast.recorder)
 
@@ -301,11 +319,11 @@ class TestFastPathEquivalence:
         legacy = simulate(build_system("D"), env, duration=duration, dt=dt,
                           events=events(), fast=False)
         fast = simulate(build_system("D"), env, duration=duration, dt=dt,
-                        events=events(), fast=True)
+                        events=events())
         assert fast.execution_path == "kernel"
         _assert_recorders_identical(legacy.recorder, fast.recorder)
 
-    def test_mid_run_fallback_keeps_equivalence(self):
+    def test_mid_run_fallback_keeps_equivalence(self, refuse_codegen):
         """An event that swaps in an AgingStorage wrapper (it overrides
         the storage physics) keeps the run on the kernel: the wrapper
         lowers to its own methods and the recorded run stays identical
@@ -327,36 +345,41 @@ class TestFastPathEquivalence:
         assert fast.execution_path == "kernel"
         _assert_recorders_identical(legacy.recorder, fast.recorder)
 
-    def test_mid_run_orchestration_swap_raises(self):
+    def test_mid_run_orchestration_swap_raises(self, request):
         """An event that installs an orchestration subclass (a bank
         overriding ``charge``) leaves nothing the kernel can run: the
-        recompile's LoweringUnsupported, naming the class, propagates in
-        every mode instead of switching loops mid-run."""
+        recompile's LoweringUnsupported, naming the class, propagates
+        from the fused tier's handoff and from the scalar kernel alike,
+        instead of switching loops mid-run."""
         dt = 120.0
         env = outdoor_environment(duration=DAY, dt=dt, seed=31)
 
         def install_bank(system):
             system.bank = _ChargingBank(system.bank.stores)
 
-        for fast in ("auto", True, "codegen"):
+        for refuse in (False, True):
+            if refuse:
+                request.getfixturevalue("refuse_codegen")
             events = [SimEvent(0.5 * DAY, install_bank)]
             with pytest.raises(LoweringUnsupported, match="_ChargingBank"):
                 simulate(_mixed_system(), env, duration=DAY, dt=dt,
-                         events=events, fast=fast)
+                         events=events)
 
-    def test_fast_true_rejects_ineligible_system(self):
+    def test_ineligible_system_runs_legacy(self):
         """A system subclass overriding the step orchestration has no
-        lowering, so the whole system is outside the kernel envelope."""
+        lowering, so the whole system is outside the kernel envelope and
+        runs the legacy loop; ``fast=True`` is no mode at all."""
         system = make_reference_system([PhotovoltaicCell(area_cm2=20.0)])
         system.__class__ = _SteppedSystem
         env = outdoor_environment(duration=3600.0, dt=60.0, seed=1)
-        with pytest.raises(ValueError, match="fast=True"):
+        assert simulate(system, env, dt=60.0).execution_path == "legacy"
+        with pytest.raises(ValueError, match="fast must be"):
             simulate(system, env, dt=60.0, fast=True)
 
     def test_fast_false_keeps_records(self):
         env = outdoor_environment(duration=3600.0, dt=60.0, seed=1)
         legacy = simulate(_mixed_system(), env, dt=60.0, fast=False)
         assert len(legacy.recorder.records) == len(legacy.recorder)
-        fast = simulate(_mixed_system(), env, dt=60.0, fast=True)
+        fast = simulate(_mixed_system(), env, dt=60.0)
         with pytest.raises(AttributeError, match="fast-path"):
             fast.recorder.records

@@ -7,18 +7,18 @@ random geometry and seed). Every fuzzed case is executed on the legacy
 per-step engine and then differentially on the other two execution
 paths:
 
-* inside the kernel envelope, ``fast=True`` must reproduce the legacy
-  recorder bit for bit; outside it, ``why_ineligible`` must name a
-  reason (non-empty) and ``fast="auto"`` must land on ``"legacy"``;
+* inside the kernel envelope, ``fast="auto"`` must reproduce the
+  legacy recorder bit for bit, on the fused emission where the plan has
+  its shape and on the scalar kernel otherwise; outside it,
+  ``why_ineligible`` must name a reason (non-empty) and ``fast="auto"``
+  must land on ``"legacy"``;
 * inside the batched envelope, a ``batch=True`` single-scenario sweep
   must reproduce the legacy recorder bit for bit; outside it,
   ``why_batch_ineligible`` must name a reason and a ``batch="auto"``
   sweep must fall back off the batched tier;
-* under ``fast="codegen"`` a case runs the fused emission where its
-  shape allows and the scalar kernel, with a report naming the refusing
-  component, otherwise. Registry platforms never fuse, so a small
-  fused-shape generator (PV channel count and areas, supercap size and
-  SoC) makes every run reach the fused emission too.
+* registry platforms never fuse, so a small fused-shape generator (PV
+  channel count and areas, supercap size and SoC) makes every run reach
+  the fused emission too.
 
 The masked-lane envelope covers every registry platform — fuel-cell
 backup cascades, P&O/IncCond hill-climbing trackers, bus/MCU
@@ -319,13 +319,12 @@ class TestFuzzedDifferential:
         assert auto[0].execution_path != "batched"
         assert auto[0].metrics == off[0].metrics
 
-    def test_codegen_fallback_surfaces_capability_report(self,
-                                                         monkeypatch):
+    def test_fused_refusal_runs_the_kernel_unreported(self, monkeypatch):
         """Replaced storage physics is outside the fused envelope, so a
-        ``fast="codegen"`` sweep lane runs the scalar kernel (through the
-        subclass's own methods): the row must carry a non-empty
-        structured CapabilityReport naming the subclass in its extras,
-        and ``sweep --explain`` must render it."""
+        sweep lane runs the scalar kernel (through the subclass's own
+        methods) and says so only by its execution path: the row carries
+        no codegen extras, the fused envelope's refusal names the
+        subclass, and ``sweep --explain`` renders the batched tier's."""
         from repro.cli import _explain_batch
         monkeypatch.setattr(batched_sweep, "LOCKSTEP_MIN_LANES", 1)
         shape = "retuned-store"
@@ -333,17 +332,17 @@ class TestFuzzedDifferential:
         env = partial(outdoor_environment, duration=0.05 * DAY, dt=600.0)
         spec = ScenarioSpec(name=shape, system=build_ineligible,
                             environment=env, seed=9)
-        sweep = SweepRunner(processes=1, batch="auto",
-                            fast="codegen").run([spec])
+        sweep = SweepRunner(processes=1, batch="auto").run([spec])
         row = sweep[0]
         assert row.execution_path == "kernel"
-        report = row.extras.get("codegen_fallback_reason")
+        assert "codegen_fallback_reason" not in row.extras
+        assert fused_refusal(build_ineligible(), 600.0) == "_RetunedSupercap"
+        report = row.extras.get("batch_fallback_reason")
         assert report is not None
         assert report.component == "_RetunedSupercap"
         assert report.capability and report.detail
         rendered = _explain_batch(sweep)
         assert report.component in rendered
-        assert "codegen" in rendered
 
     @pytest.mark.parametrize("index", range(CASES))
     def test_legacy_kernel_batched_agree(self, index, monkeypatch):
@@ -351,44 +350,23 @@ class TestFuzzedDifferential:
         legacy = run_spec(spec, fast=False)
         assert legacy.execution_path == "legacy"
 
-        # Kernel differential.
+        # Compiled differential: inside the kernel envelope a case runs
+        # fused where the fused envelope accepts it and on the scalar
+        # kernel otherwise — bitwise either way; outside it, legacy.
         kernel_reason = why_ineligible(build(spec.system), spec.dt)
+        auto = run_spec(spec, fast="auto")
         if kernel_reason is None:
-            kernel = run_spec(spec, fast=True)
-            assert kernel.execution_path == "kernel"
-            assert_bitwise_equal(kernel.recorder, legacy.recorder,
-                                 f"{spec.name} kernel")
-            assert kernel.metrics == legacy.metrics
+            refusal = fused_refusal(build(spec.system), spec.dt)
+            assert auto.execution_path == \
+                ("codegen" if refusal is None else "kernel")
+            assert_bitwise_equal(auto.recorder, legacy.recorder,
+                                 f"{spec.name} {auto.execution_path}")
+            assert auto.metrics == legacy.metrics
         else:
             assert isinstance(kernel_reason, str) and kernel_reason.strip(), \
                 f"{spec.name}: fallback must carry a reason"
-            auto = run_spec(spec, fast="auto")
             assert auto.execution_path == "legacy"
             assert auto.metrics == legacy.metrics
-
-        # Codegen differential: inside the kernel envelope a case runs
-        # fused where the fused envelope accepts it and on the kernel
-        # (naming the refusing component) otherwise — bitwise either
-        # way; outside it, codegen degrades to legacy with a report.
-        codegen = run_spec(spec, fast="codegen")
-        if kernel_reason is None:
-            refusal = fused_refusal(build(spec.system), spec.dt)
-            if refusal is None:
-                assert codegen.execution_path == "codegen"
-                assert codegen.codegen_fallback is None
-            else:
-                assert codegen.execution_path == "kernel"
-                assert codegen.codegen_fallback.component == refusal
-            assert_bitwise_equal(codegen.recorder, legacy.recorder,
-                                 f"{spec.name} codegen")
-            assert codegen.metrics == legacy.metrics
-        else:
-            assert codegen.execution_path == "legacy"
-            report = codegen.codegen_fallback
-            assert report is not None, \
-                f"{spec.name}: codegen fallback must carry a report"
-            assert report.component and report.capability and report.detail
-            assert codegen.metrics == legacy.metrics
 
         # Batched differential.
         batch_reason = why_batch_ineligible(build(spec.system), spec.dt)
@@ -413,9 +391,8 @@ class TestFuzzedDifferential:
         build_system, seed = fuzz_fused_case(index)
         env = outdoor_environment(duration=DAY, dt=300.0, seed=seed)
         legacy = simulate(build_system(), env, dt=300.0, fast=False)
-        codegen = simulate(build_system(), env, dt=300.0, fast="codegen")
+        codegen = simulate(build_system(), env, dt=300.0)
         assert codegen.execution_path == "codegen"
-        assert codegen.codegen_fallback is None
         assert_bitwise_equal(codegen.recorder, legacy.recorder,
                              f"fused{index}")
         assert codegen.metrics == legacy.metrics
@@ -520,7 +497,7 @@ class TestFuzzedPlateauDifferential:
         assert a == b
 
     @pytest.mark.parametrize("index", range(PLATEAU_CASES))
-    def test_plateau_lanes_agree_across_tiers(self, index):
+    def test_plateau_lanes_agree_across_tiers(self, index, request):
         build_system, envf, dt, seeds = fuzz_plateau_case(index)
         captured = {}
         scenarios = [ScenarioSpec(
@@ -531,11 +508,14 @@ class TestFuzzedPlateauDifferential:
         assert [row.execution_path for row in rows] == \
             ["batched"] * len(seeds)
         fused = fused_refusal(build_system(), dt) is None
-        for seed, row in zip(seeds, rows):
+        codegens = [simulate(build_system(), envf(seed=seed), dt=dt)
+                    for seed in seeds]
+        # The kernel arm: the scalar kernel on the fused shape too.
+        request.getfixturevalue("refuse_codegen")
+        for seed, row, codegen in zip(seeds, rows, codegens):
             env = envf(seed=seed)
             legacy = simulate(build_system(), env, dt=dt, fast=False)
-            kernel = simulate(build_system(), env, dt=dt, fast=True)
-            codegen = simulate(build_system(), env, dt=dt, fast="codegen")
+            kernel = simulate(build_system(), env, dt=dt)
             assert kernel.execution_path == "kernel"
             assert codegen.execution_path == \
                 ("codegen" if fused else "kernel")

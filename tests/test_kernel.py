@@ -128,13 +128,17 @@ class TestKernelCoverageGate:
 
 class TestExecutionPathReporting:
     def test_paths_are_reported(self):
+        """The reference platform has the fused shape, so the default
+        run reports ``"codegen"``; a Table I letter reports
+        ``"kernel"``."""
         env = outdoor_environment(duration=3600.0, dt=60.0, seed=3)
         system = make_reference_system([PhotovoltaicCell(area_cm2=20.0)])
         assert simulate(system, env, dt=60.0,
                         fast=False).execution_path == "legacy"
         system = make_reference_system([PhotovoltaicCell(area_cm2=20.0)])
-        assert simulate(system, env, dt=60.0,
-                        fast=True).execution_path == "kernel"
+        assert simulate(system, env, dt=60.0).execution_path == "codegen"
+        assert simulate(build_system("C"), env,
+                        dt=60.0).execution_path == "kernel"
 
 
 class TestEventSchedulePublicAPI:

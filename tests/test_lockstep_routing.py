@@ -14,6 +14,10 @@ boundary of that rule:
 * ``batch=True`` keeps lockstep at any width, one lane included;
 * a narrow scenario builds its environment once, including when a wide
   topology is split into narrow groups by ``dt``.
+
+The grids use the fused codegen shape; the engine's codegen attempt is
+refused here so per-scenario rows name the scalar kernel, the tier the
+routing rule was measured against.
 """
 
 import hashlib
@@ -27,6 +31,8 @@ from repro.harvesters import PhotovoltaicCell
 from repro.simulation import ScenarioSpec, SweepRunner
 from repro.simulation.batched_sweep import LOCKSTEP_MIN_LANES
 from repro.simulation.recorder import SCALAR_COLUMNS
+
+pytestmark = pytest.mark.usefixtures("refuse_codegen")
 
 DAY = 86_400.0
 DURATION = 0.25 * DAY
