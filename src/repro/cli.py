@@ -214,9 +214,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument("--explain", action="store_true",
                        help="after the sweep, print each fallback row's "
                             "capability report (which component refused "
-                            "the batched tier, which capability it "
-                            "lacks, and the divergence batching it "
-                            "would cause)")
+                            "the batched tier and which capability it "
+                            "lacks)")
     add_fast_flag(p_swp)
     add_catalog_flag(p_swp)
 
@@ -705,14 +704,12 @@ def _explain_batch(sweep) -> str:
         if isinstance(report, dict):
             report = CapabilityReport(**report)
         body.append((result.name, result.execution_path,
-                     report.component, report.capability,
-                     report.divergence or "-", report.detail))
+                     report.component, report.capability, report.detail))
     if not body:
         return ("compiled tiers: every scenario rode a compiled path "
                 "(no capability refusals)")
     return render_table(
-        ("scenario", "path", "component", "missing capability",
-         "divergence", "detail"),
+        ("scenario", "path", "component", "missing capability", "detail"),
         body,
         title=f"compiled tiers: {len(body)} capability refusal(s)")
 

@@ -4,13 +4,11 @@ Bridges :class:`~repro.simulation.sweep.SweepRunner` and the batched
 kernel (:mod:`repro.simulation.kernel.batched`): scenarios are probed
 cheaply (one probe per *topology group*, memoized on the group
 signature), grouped by system topology, compiled into one
-:class:`BatchedPlan` per group, and stepped in lockstep. Scenarios with
-scheduled events ride along: the masked-lane model segments the run at
-event horizons and peels diverging lanes into a scalar side-channel
-(see :func:`~repro.simulation.kernel.batched.run_batched`). Scenarios
-the envelope excludes — forced ``fast=False``, or built from components
-without a batched lowering — are handed back with a capability report
-so the runner can route them through the per-scenario tiers.
+:class:`BatchedPlan` per group, and stepped in lockstep. Scenarios the
+envelope excludes — forced ``fast=False``, carrying scheduled events,
+or built from components without a batched lowering — are handed back
+with a capability report so the runner can route them through the
+per-scenario tiers, where the engine fires events between steps.
 
 Lockstep pays only for wide groups: each lockstep step costs a fixed
 number of numpy calls whatever the width, more than a whole scalar-kernel
@@ -32,7 +30,6 @@ from collections import Counter
 
 from ..environment.compiled import CompiledEnvironment
 from .engine import SimulationResult, check_fast
-from .events import EventSchedule, SimEvent
 from .kernel.batched import BatchedPlan, group_signature, run_batched
 from .kernel.protocol import CapabilityReport, LoweringUnsupported
 from .metrics import compute_metrics
@@ -46,23 +43,6 @@ __all__ = ["LOCKSTEP_MIN_LANES", "run_batched_tier"]
 LOCKSTEP_MIN_LANES = 16
 
 _UNPROBED = object()
-
-
-def _build_schedule(spec) -> EventSchedule | None:
-    """The spec's events as a fresh :class:`EventSchedule` (None if none).
-
-    Mirrors the engine's normalization: callables are invoked (schedules
-    are consumed by a run, so factories are how specs share them), bare
-    tuples become :class:`SimEvent`.
-    """
-    events = spec.events() if callable(spec.events) else spec.events
-    if events is None:
-        return None
-    if isinstance(events, EventSchedule):
-        return events if len(events) else None
-    events = [e if isinstance(e, SimEvent) else SimEvent(*e)
-              for e in events]
-    return EventSchedule(events) if events else None
 
 
 def run_batched_tier(specs, default_fast, on_result=None,
@@ -84,10 +64,13 @@ def run_batched_tier(specs, default_fast, on_result=None,
     already built, so no scenario synthesizes its traces twice.
 
     ``on_result(index, result, wall_time_s)``, when given, fires for
-    each scenario as its topology group completes (lockstep groups
-    finish whole, so per-scenario completion *is* per-group completion;
-    the reported wall time is the group's divided across its lanes).
-    The catalog uses this to checkpoint batched sweeps incrementally.
+    each scenario once its topology group's metrics are in (lockstep
+    groups finish whole, so per-scenario completion *is* per-group
+    completion). The wall time is the scenario's own system and
+    environment build plus an equal share of its group's compile, run,
+    metrics and ``collect`` time, the same work the per-scenario tiers
+    time. The catalog uses this to checkpoint batched sweeps
+    incrementally.
     """
     from .sweep import ScenarioResult, _build_environment, _build_system
 
@@ -108,12 +91,18 @@ def run_batched_tier(specs, default_fast, on_result=None,
         reasons[index] = report
 
     for index, spec in enumerate(specs):
+        t0 = time.perf_counter()
         scenario_fast = check_fast(
             spec.fast if spec.fast != "auto" else default_fast)
         if scenario_fast is False:
             refuse(index, spec, CapabilityReport(
                 component="scenario", capability="compiled execution",
                 detail="fast=False forces the per-scenario legacy path"))
+            continue
+        if spec.events is not None:
+            refuse(index, spec, CapabilityReport(
+                component="scenario", capability="event-free run",
+                detail="scheduled events run per scenario on the engine"))
             continue
         system = _build_system(spec)
         probe_dt = spec.dt if spec.dt is not None else 1.0
@@ -142,14 +131,17 @@ def run_batched_tier(specs, default_fast, on_result=None,
         if reason is not None:
             refuse(index, spec, reason)
             continue
-        eligible.append((index, spec, system, topology))
+        eligible.append((index, spec, system, topology,
+                         time.perf_counter() - t0))
 
-    lanes = Counter(topology for _, _, _, topology in eligible)
-    for index, spec, system, topology in eligible:
+    lanes = Counter(topology for _, _, _, topology, _ in eligible)
+    for index, spec, system, topology, build_s in eligible:
         if route_narrow and lanes[topology] < LOCKSTEP_MIN_LANES:
             remainder[index] = spec
             continue
+        t0 = time.perf_counter()
         environment = _build_environment(spec)
+        build_s += time.perf_counter() - t0
         dt = spec.dt if spec.dt is not None else environment.dt
         duration = spec.duration if spec.duration is not None \
             else environment.duration
@@ -163,16 +155,16 @@ def run_batched_tier(specs, default_fast, on_result=None,
         n_steps = max(1, int(round(duration / dt)))
         key = group_signature(system, dt, n_steps)
         groups.setdefault(key, []).append(
-            (index, spec, system, environment, n_steps, dt))
+            (index, spec, system, environment, build_s))
 
-    for entries in groups.values():
+    # A group signature leads with the group's dt and step count.
+    for (dt, n_steps, *_), entries in groups.items():
         if route_narrow and len(entries) < LOCKSTEP_MIN_LANES:
-            for index, spec, _, environment, _, _ in entries:
+            for index, spec, _, environment, _ in entries:
                 remainder[index] = dataclasses.replace(
                     spec, environment=environment)
             continue
-        n_steps = entries[0][4]
-        dt = entries[0][5]
+        t0 = time.perf_counter()
         systems = [e[2] for e in entries]
         try:
             plan = BatchedPlan.compile(systems, dt)
@@ -200,20 +192,16 @@ def run_batched_tier(specs, default_fast, on_result=None,
             if plan is None:
                 continue
         compileds = [CompiledEnvironment(env, 0.0, n_steps, dt)
-                     for _, _, _, env, _, _ in entries]
+                     for _, _, _, env, _ in entries]
         recorders = [Recorder(dt, keep_records=False) for _ in entries]
-        schedules = [_build_schedule(spec) for _, spec, _, _, _, _ in entries]
-        t0 = time.perf_counter()
-        paths = run_batched(plan, compileds, recorders, n_steps, dt,
-                            schedules)
-        lane_seconds = (time.perf_counter() - t0) / max(1, len(entries))
-        for (index, spec, system, _, _, _), recorder, path in zip(
+        paths = run_batched(plan, compileds, recorders, n_steps, dt)
+        for (index, spec, system, _, _), recorder, path in zip(
                 entries, recorders, paths):
             metrics = compute_metrics(recorder)
             extras = {}
             if spec.collect is not None:
-                extras = spec.collect(SimulationResult(
-                    system, recorder, metrics, execution_path=path))
+                extras = dict(spec.collect(SimulationResult(
+                    system, recorder, metrics, execution_path=path)) or {})
             results[index] = ScenarioResult(
                 name=spec.name,
                 params=dict(spec.params),
@@ -222,7 +210,9 @@ def run_batched_tier(specs, default_fast, on_result=None,
                 extras=extras,
                 execution_path=path,
             )
-            if on_result is not None:
-                on_result(index, results[index], lane_seconds)
+        if on_result is not None:
+            share = (time.perf_counter() - t0) / len(entries)
+            for index, _, _, _, build_s in entries:
+                on_result(index, results[index], build_s + share)
 
     return results, dict(sorted(remainder.items())), reasons

@@ -41,16 +41,9 @@ backup-store cascades (fuel cells, primary cells — per-lane
 incremental conductance — replayed as per-lane schedule columns), and
 the periodic managers (vectorized counter machine + SoC-gated policy).
 
-Scheduled events run under a **masked-lane execution model**
-(:func:`run_batched`): the grid steps in lockstep between *event
-horizons*; at a horizon every lane's state is written back onto the
-real component objects, due events fire on their lanes, and the group
-re-lowers and rejoins lockstep. Write-back/re-gather equality is
-enforced for untouched lanes at every rejoin. Lanes whose events push
-them outside the envelope *peel* into a scalar side-channel — their
-recorder prefix is filled from the batch buffers and the remaining
-steps run on the scalar kernel (``run_plan(start=...)``) — while the
-surviving lanes keep the lockstep speedup.
+Scheduled events stay off this tier: the sweep runner refuses a
+scenario that carries them, and the engine runs it per scenario, firing
+each event between steps (:mod:`repro.simulation.batched_sweep`).
 """
 
 from __future__ import annotations
@@ -133,8 +126,7 @@ def same_class(objs, role: str) -> type:
                 f"{type(obj).__name__}; a batch must share one concrete "
                 f"class per component position",
                 component=role,
-                capability="homogeneous component class across the group",
-                divergence="every step")
+                capability="homogeneous component class across the group")
     return cls
 
 
@@ -486,8 +478,7 @@ class BatchedPlan:
             raise LoweringUnsupported(
                 f"{type(systems[0]).__name__} has no batched lowering",
                 component=type(systems[0]).__name__,
-                capability="batched lowering hook",
-                divergence="every step")
+                capability="batched lowering hook")
         return cls(systems, dt, lower(dt, systems))
 
 
@@ -502,10 +493,9 @@ def batch_capability_report(system, dt: float = 1.0):
     Returns ``None`` when every component lowers (the scenario can ride
     the lockstep tier), else the refusing component's
     :class:`~repro.simulation.kernel.protocol.CapabilityReport` — which
-    component refused, which capability it lacks, and how the state
-    would diverge if it were batched anyway. The sweep runner attaches
-    this to fallback rows; ``batch=True`` errors and ``repro mc --tier
-    batched`` print it verbatim.
+    component refused and which capability it lacks. The sweep runner
+    attaches this to fallback rows; ``batch=True`` errors and ``repro mc
+    --tier batched`` print it verbatim.
     """
     try:
         BatchedPlan.compile([system], dt)
@@ -562,18 +552,11 @@ def group_signature(system, dt: float, n_steps: int) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# The lockstep hot loop (masked-lane execution)
+# The lockstep hot loop
 # ----------------------------------------------------------------------
-def _run_segment(lowering, buffers, state_buf, store_e_buf, store_v_buf,
-                 chan_buf, sel, seg_start: int, horizon: int,
-                 dt: float) -> None:
-    """One divergence-free lockstep stretch, steps ``[seg_start, horizon)``.
-
-    ``sel`` selects the active lanes' columns in the full-width batch
-    buffers (``slice(None)`` while no lane has peeled). Channel
-    lowerings were prepared on exactly this window, so their local step
-    index is ``i - seg_start``.
-    """
+def _run_lockstep(lowering, buffers, state_buf, store_e_buf, store_v_buf,
+                  chan_buf, n_steps: int, dt: float) -> None:
+    """Steps ``0 .. n_steps - 1`` of the whole group, into the buffers."""
     bank = lowering.bank
     node = lowering.node
     output_needed = lowering.output.needed
@@ -604,7 +587,7 @@ def _run_segment(lowering, buffers, state_buf, store_e_buf, store_v_buf,
     bus_pending = lowering.bus_pending_w
 
     with np.errstate(all="ignore"):
-        for i in range(seg_start, horizon):
+        for i in range(n_steps):
             # 1. Management decisions. No-op managers (StaticManager)
             #    lower control to None and replay their counters at
             #    writeback; periodic managers run their vectorized
@@ -620,20 +603,20 @@ def _run_segment(lowering, buffers, state_buf, store_e_buf, store_v_buf,
             mpp = 0.0
             k = 0
             for channel in channels:
-                ch_raw, ch_del, ch_mpp = channel.step(i - seg_start, bus_v)
+                ch_raw, ch_del, ch_mpp = channel.step(i, bus_v)
                 raw = raw + ch_raw
                 delivered = delivered + ch_del
                 mpp = mpp + ch_mpp
-                chan_buf[i, sel, k] = ch_del
+                chan_buf[i, :, k] = ch_del
                 k += 1
             accepted = bank_charge(np.where(delivered > 0.0, delivered, 0.0))
 
             # 3. Standing (quiescent) losses, including any bus
-            #    transactions charged before the segment (transactions
-            #    never happen mid-segment, so the pending term is zero —
+            #    transactions charged before the run (transactions
+            #    never happen mid-run, so the pending term is zero —
             #    an exact no-op addition — after the first step).
             iq = tq * np.where(bus_v > 0.0, bus_v, 0.0)
-            if i == seg_start and bus_pending is not None:
+            if i == 0 and bus_pending is not None:
                 iq = iq + bus_pending
             quiescent = bank_discharge(np.where(iq > 0.0, iq, 0.0))
 
@@ -654,32 +637,32 @@ def _run_segment(lowering, buffers, state_buf, store_e_buf, store_v_buf,
                     refund, drawn * (1.0 - consumed / supplied), 0.0))
             if backup_energy is not None:
                 dropped = backup_before - backup_energy()
-                b_bak[i, sel] = np.where(dropped > 0.0, dropped, 0.0) / dt
+                b_bak[i] = np.where(dropped > 0.0, dropped, 0.0) / dt
             else:
-                b_bak[i, sel] = 0.0
+                b_bak[i] = 0.0
 
             # 5. Storage self-discharge / charge redistribution.
             bank_idle()
 
             # 6. Record the step.
-            b_raw[i, sel] = raw
-            b_del[i, sel] = delivered
-            b_mpp[i, sel] = mpp
-            b_acc[i, sel] = accepted
-            b_qsc[i, sel] = quiescent
-            b_dem[i, sel] = demand
-            b_sup[i, sel] = supplied
-            b_con[i, sel] = consumed
-            b_mea[i, sel] = measured
-            state_buf[i, sel] = node_state
+            b_raw[i] = raw
+            b_del[i] = delivered
+            b_mpp[i] = mpp
+            b_acc[i] = accepted
+            b_qsc[i] = quiescent
+            b_dem[i] = demand
+            b_sup[i] = supplied
+            b_con[i] = consumed
+            b_mea[i] = measured
+            state_buf[i] = node_state
             k = 0
             for st in store_lowerings:
-                store_e_buf[i, sel, k] = st.state.energy
-                store_v_buf[i, sel, k] = st.voltage()
+                store_e_buf[i, :, k] = st.state.energy
+                store_v_buf[i, :, k] = st.voltage()
                 k += 1
 
 
-def _writeback(lowering, seg_steps: int) -> None:
+def _writeback(lowering, n_steps: int) -> None:
     """Final in-flight state back onto the real component objects."""
     if lowering.bus_pending_w is not None:
         # Mirror the scalar path's bus accounting: everything spent on
@@ -690,82 +673,36 @@ def _writeback(lowering, seg_steps: int) -> None:
     lowering.bank.writeback()
     lowering.node.writeback()
     if lowering.manager is not None:
-        lowering.manager.writeback(seg_steps)
+        lowering.manager.writeback(n_steps)
     for channel in lowering.channels:
         channel.writeback()
 
 
-def _enforce_rejoin(snapshot, lowering, lanes, fired_lanes) -> None:
-    """Write-back/re-gather equality for lanes no event touched.
-
-    The rejoin contract of the masked-lane model: lowering state written
-    back onto the component objects and re-gathered by the next
-    segment's compile must be bit-identical, or the lockstep run would
-    silently diverge from the scalar path. Representative state (every
-    store's energy, the node's measurement interval) is checked at every
-    rejoin; events legitimately mutate their own lanes, so those are
-    exempt.
-    """
-    if snapshot is None:
-        return
-    stores = lowering.bank.stores
-    interval = lowering.node.state.interval
-    for pos, lane in enumerate(lanes):
-        if lane in fired_lanes or lane not in snapshot:
-            continue
-        energies, node_interval = snapshot[lane]
-        regathered = tuple(float(st.state.energy[pos]) for st in stores)
-        if regathered != energies or float(interval[pos]) != node_interval:
-            raise RuntimeError(
-                f"masked-lane rejoin: written-back state diverged on "
-                f"untouched lane {lane}: stores {energies} -> "
-                f"{regathered}")
-
-
 def run_batched(plan: BatchedPlan, compileds, recorders, n_steps: int,
-                dt: float, schedules=None) -> list:
+                dt: float) -> list:
     """Run a scenario group in lockstep and fill one recorder each.
 
     ``compileds`` are the scenarios' :class:`CompiledEnvironment`
     windows (same ``n_steps``/``dt``, ``t0 = 0``); ``recorders`` are
-    fresh :class:`~repro.simulation.Recorder` instances. On return each
-    recorder holds exactly the columns the scalar kernel would have
-    written, and every component object carries its final state.
+    fresh :class:`~repro.simulation.Recorder` instances. Each channel's
+    harvest side is prepared once over the whole window, the group
+    steps ``0 .. n_steps - 1`` in lockstep, and the final state is
+    written back once. On return each recorder holds exactly the
+    columns the scalar kernel would have written, and every component
+    object carries its final state.
 
-    ``schedules`` is an optional per-lane list of
-    :class:`~repro.simulation.EventSchedule` (or None). Lanes without
-    events step in lockstep end to end. Scheduled events segment the
-    run at *event horizons*: the whole group's state is written back,
-    due events fire on their lanes' real objects, and the group
-    re-lowers and rejoins lockstep (write-back equality enforced for
-    untouched lanes). A lane whose event pushes it outside the batched
-    envelope peels into the scalar side-channel: its recorder prefix is
-    filled from the batch buffers and the remaining steps run through
-    :func:`~repro.simulation.kernel.plan.run_plan` (``start=`` the peel
-    step), which raises :exc:`LoweringUnsupported` if the lane's event
-    installed an orchestration subclass.
-
-    Returns one execution-path string per lane: ``"batched"`` for
-    lockstep end-to-end, ``"batched+kernel"`` for peeled lanes.
+    Returns one execution-path string per lane (``"batched"``).
     """
-    from ..events import EventSchedule
-    from .plan import KernelPlan, run_plan
-
     n = len(plan.systems)
     if not (len(compileds) == len(recorders) == n):
         raise ValueError("one compiled environment and recorder per scenario")
-    if schedules is None:
-        schedules = [None] * n
-    elif len(schedules) != n:
-        raise ValueError("one event schedule (or None) per scenario")
 
     lowering = plan.lowering
     n_stores = len(lowering.bank.stores)
     n_channels = len(lowering.channels)
-    times = compileds[0].times
 
     # Batched recorder buffers, (n_steps, n) per column; sliced back into
-    # per-scenario recorders at the end. Peeled lanes keep their prefix.
+    # per-scenario recorders at the end.
     buffers = {name: np.empty((n_steps, n), dtype=np.float64)
                for name in SCALAR_COLUMNS if name != "t"}
     state_buf = np.empty((n_steps, n), dtype=np.int8)
@@ -773,143 +710,33 @@ def run_batched(plan: BatchedPlan, compileds, recorders, n_steps: int,
     store_v_buf = np.empty((n_steps, n, n_stores), dtype=np.float64)
     chan_buf = np.empty((n_steps, n, n_channels), dtype=np.float64)
 
-    systems = list(plan.systems)
-    lanes = list(range(n))
-    paths = ["batched"] * n
-    peels: list = []        # (original lane, resume step)
-    snapshot = None         # lane -> written-back state evidence
-    seg_start = 0
+    with np.errstate(all="ignore"):
+        for channel in lowering.channels:
+            values = np.zeros((n_steps, n), dtype=np.float64)
+            for lane, compiled in enumerate(compileds):
+                col = compiled.column_of(channel.source_type)
+                if col is not None:
+                    values[:, lane] = compiled.matrix[:, col]
+            channel.prepare(values)
+    _run_lockstep(lowering, buffers, state_buf, store_e_buf, store_v_buf,
+                  chan_buf, n_steps, dt)
+    _writeback(lowering, n_steps)
 
-    while seg_start < n_steps and systems:
-        # 0. Divergence bucket: fire events due at the segment start on
-        #    their lanes' real objects (state was written back at the
-        #    previous horizon), then re-lower the group and rejoin.
-        t_seg = times[seg_start]
-        fired_lanes = set()
-        for pos, lane in enumerate(lanes):
-            sched = schedules[lane]
-            if sched is not None and sched.next_time() <= t_seg:
-                for event in sched.due(t_seg):
-                    event.action(systems[pos])
-                fired_lanes.add(lane)
-        if fired_lanes:
-            # Partition by topology signature: a lane whose event moved
-            # it onto a different topology (class change anywhere) can
-            # no longer share the plan and peels; same-topology
-            # mutations (e.g. a like-for-like hot-swap) rejoin.
-            sigs = []
-            for system in systems:
-                try:
-                    sigs.append(group_signature(system, dt, 0))
-                except Exception:
-                    sigs.append(None)
-            base_sig = None
-            for pos, lane in enumerate(lanes):
-                if lane not in fired_lanes:
-                    base_sig = sigs[pos]
-                    break
-            if base_sig is None:
-                # Every lane fired: keep the largest surviving cohort.
-                counts: dict = {}
-                for sig in sigs:
-                    if sig is not None:
-                        counts[sig] = counts.get(sig, 0) + 1
-                if counts:
-                    base_sig = max(counts, key=counts.get)
-            keep_pos = [p for p in range(len(systems))
-                        if sigs[p] is not None and sigs[p] == base_sig]
-            lowering = None
-            while keep_pos:
-                try:
-                    lowering = BatchedPlan.compile(
-                        [systems[p] for p in keep_pos], dt).lowering
-                    break
-                except LoweringUnsupported:
-                    # Instance-level refusal the signature cannot see:
-                    # drop the fired lanes from the cohort and retry;
-                    # an untouched cohort that still refuses peels
-                    # wholesale (it compiled before, so this is a
-                    # defensive dead end, not an expected path).
-                    if not any(lanes[p] in fired_lanes for p in keep_pos):
-                        keep_pos = []
-                        break
-                    keep_pos = [p for p in keep_pos
-                                if lanes[p] not in fired_lanes]
-            if len(keep_pos) < len(systems):
-                kept = set(keep_pos)
-                for pos, lane in enumerate(lanes):
-                    if pos not in kept:
-                        peels.append((lane, seg_start))
-                systems = [systems[p] for p in keep_pos]
-                lanes = [lanes[p] for p in keep_pos]
-            if not systems:
-                break
-            _enforce_rejoin(snapshot, lowering, lanes, fired_lanes)
-
-        # 1. Next event horizon across the active lanes (due events were
-        #    just drained, so the horizon lies strictly ahead).
-        horizon = n_steps
-        for lane in lanes:
-            sched = schedules[lane]
-            if sched is None or sched.pending == 0:
-                continue
-            step = int(np.searchsorted(times, sched.next_time(),
-                                       side="left"))
-            if step < horizon:
-                horizon = step
-
-        # 2. Prepare the segment's ambient window and run it in lockstep.
-        seg_steps = horizon - seg_start
-        sel = np.asarray(lanes) if len(lanes) < n else slice(None)
-        with np.errstate(all="ignore"):
-            for channel in lowering.channels:
-                values = np.zeros((seg_steps, len(lanes)), dtype=np.float64)
-                for j, lane in enumerate(lanes):
-                    col = compileds[lane].column_of(channel.source_type)
-                    if col is not None:
-                        values[:, j] = compileds[lane].matrix[
-                            seg_start:horizon, col]
-                channel.prepare(values)
-        _run_segment(lowering, buffers, state_buf, store_e_buf,
-                     store_v_buf, chan_buf, sel, seg_start, horizon, dt)
-
-        # 3. Write the in-flight state back onto the component objects
-        #    and keep evidence for the next rejoin's equality check.
-        _writeback(lowering, seg_steps)
-        bank_stores = lowering.bank.stores
-        interval = lowering.node.state.interval
-        snapshot = {
-            lane: (tuple(float(st.state.energy[pos]) for st in bank_stores),
-                   float(interval[pos]))
-            for pos, lane in enumerate(lanes)
-        }
-        seg_start = horizon
-
-    # Slice the batch buffers into each lane's recorder: the whole run
-    # for lockstep lanes, the prefix for peeled ones, whose remainder
-    # the scalar kernel runs as a side-channel.
-    peeled_at = dict(peels)
+    times = compileds[0].times
     for s, recorder in enumerate(recorders):
-        resume = peeled_at.get(s, n_steps)
         recorder.reserve(n_steps, n_stores, n_channels)
         scalars, state_arr, store_e, store_v, chan_p, base = \
             recorder.columns_for_writing()
-        end = base + resume
-        scalars["t"][base:end] = times[:resume]
+        end = base + n_steps
+        scalars["t"][base:end] = times
         for name, buf in buffers.items():
-            scalars[name][base:end] = buf[:resume, s]
-        state_arr[base:end] = state_buf[:resume, s]
-        store_e[base:end] = store_e_buf[:resume, s, :]
-        store_v[base:end] = store_v_buf[:resume, s, :]
-        chan_p[base:end] = chan_buf[:resume, s, :]
-        if resume == n_steps:
-            recorder.commit(n_steps)
-            continue
-        run_plan(KernelPlan.compile(plan.systems[s], dt), compileds[s],
-                 schedules[s] or EventSchedule(), recorder, n_steps, dt,
-                 start=resume)
-        paths[s] = "batched+kernel"
-    return paths
+            scalars[name][base:end] = buf[:, s]
+        state_arr[base:end] = state_buf[:, s]
+        store_e[base:end] = store_e_buf[:, s, :]
+        store_v[base:end] = store_v_buf[:, s, :]
+        chan_p[base:end] = chan_buf[:, s, :]
+        recorder.commit(n_steps)
+    return ["batched"] * n
 
 
 def node_state_from_code(code: int) -> NodeState:

@@ -33,8 +33,8 @@ differential and determinism suites enforce it.
 
 Scheduled events never fire inside generated code: the loop breaks at
 the event boundary, writes its locals back to the component objects,
-and the engine finishes the segment on the scalar kernel (which fires
-the event at its loop top) — mirroring the batched tier's peel-out.
+and the engine finishes the segment on the scalar kernel
+(``run_plan(start=...)``), which fires the event at its loop top.
 
 Compile cache: the emitted source depends only on the fused structure
 — the emission branches, the channel count and which channels have an
@@ -129,9 +129,9 @@ class CodegenRunner:
 
     Calling it runs steps ``start .. n_steps - 1`` (or up to the first
     scheduled-event boundary) and returns the number completed; the
-    recorder is committed only on full completion — partial segments
-    are committed by the scalar-kernel continuation, exactly like the
-    batched tier's peel-out.
+    recorder is committed only on full completion — a partial segment
+    is committed by the scalar-kernel continuation the engine runs from
+    the event boundary.
     """
 
     __slots__ = ("system", "step_fn", "consts", "_avs", "_times")

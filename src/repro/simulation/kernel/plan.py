@@ -81,8 +81,8 @@ def run_plan(plan: KernelPlan, compiled, schedule, recorder, n_steps: int,
 
     ``start`` resumes a partially-written segment: the caller has already
     filled recorder rows ``0 .. start - 1`` (uncommitted) and stepped the
-    system to the same boundary — the batched tier uses this as the
-    scalar side-channel for lanes peeled out of a lockstep run.
+    system to the same boundary — the engine uses this to hand a fused
+    codegen run over to the scalar kernel at a scheduled event.
     """
     system = plan.system
     times = compiled.times_list()

@@ -62,49 +62,41 @@ class CapabilityReport:
     """Structured account of why a component refused to lower.
 
     A refusal is capability negotiation, not an error: the report names
-    the *component* that refused, the *capability* it lacks, the
-    human-readable *detail*, and the *divergence* the missing capability
-    would cause if the lowering ran anyway (how often the lockstep state
-    would drift from the per-scenario truth — ``"every step"`` for
-    replaced physics, ``"per event"`` for shapes only the scalar
-    side-channel can follow, ``None`` when not applicable). Sweep rows
-    carry the report in their extras (``batch_fallback_reason``) and
-    ``repro sweep --batch on --explain`` renders it as a table.
+    the *component* that refused (or ``"scenario"`` when the run itself
+    is outside the tier), the *capability* it lacks, and the
+    human-readable *detail*. Sweep rows carry the report in their
+    extras (``batch_fallback_reason``) and ``repro sweep --batch on
+    --explain`` renders it as a table.
     """
 
     component: str
     capability: str
     detail: str
-    divergence: str | None = None
 
     def as_dict(self) -> dict:
         """Flat JSON-friendly payload (sweep-row extras, ``--json``)."""
         return {"component": self.component, "capability": self.capability,
-                "detail": self.detail, "divergence": self.divergence}
+                "detail": self.detail}
 
     def __str__(self) -> str:
-        tail = f" (would diverge {self.divergence})" if self.divergence \
-            else ""
         return f"{self.component}: missing {self.capability} — " \
-               f"{self.detail}{tail}"
+               f"{self.detail}"
 
 
 class LoweringUnsupported(Exception):
     """A component has no lowering on the tier that asked for one.
 
     Raise sites may attach structured identity (``component``,
-    ``capability``, ``divergence``); :meth:`capability_report` always
-    yields a full :class:`CapabilityReport`, synthesizing conservative
-    defaults for plain-string raises.
+    ``capability``); :meth:`capability_report` always yields a full
+    :class:`CapabilityReport`, synthesizing conservative defaults for
+    plain-string raises.
     """
 
     def __init__(self, message: str, *, component: str | None = None,
-                 capability: str | None = None,
-                 divergence: str | None = None):
+                 capability: str | None = None):
         super().__init__(message)
         self.component = component
         self.capability = capability
-        self.divergence = divergence
 
     def capability_report(self) -> CapabilityReport:
         """The refusal as a structured :class:`CapabilityReport`."""
@@ -119,7 +111,6 @@ class LoweringUnsupported(Exception):
             component=component,
             capability=self.capability or "lowering",
             detail=detail,
-            divergence=self.divergence,
         )
 
 
@@ -154,8 +145,7 @@ def ensure_unmodified(obj, base: type, *names: str) -> None:
             f"{type(obj).__name__} overrides {', '.join(changed)}() of "
             f"{base.__name__} and defines no kernel lowering of its own",
             component=type(obj).__name__,
-            capability=f"unmodified {base.__name__} physics",
-            divergence="every step")
+            capability=f"unmodified {base.__name__} physics")
 
 
 def is_library_harvester(harvester) -> bool:

@@ -330,10 +330,10 @@ def run_ensemble(spec, replicates: int | None = None, *,
         ``"auto"`` (default tiering), or pin one of ``"batched"`` /
         ``"multiprocessing"`` / ``"in-process"``. Pinning ``"batched"``
         raises ``ValueError`` if any replicate falls outside the
-        batched envelope; the message carries the refusing component's
+        batched envelope (replaced physics, scheduled events,
+        ``fast=False``); the message carries the refusing component's
         :class:`~repro.simulation.CapabilityReport` (which capability
-        is missing and the divergence batching would cause), not a
-        generic tier error.
+        is missing), not a generic tier error.
     processes:
         Worker count for the multiprocessing tier.
     fast:

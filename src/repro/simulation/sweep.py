@@ -72,6 +72,8 @@ class ScenarioSpec:
         Scheduled interventions — a sequence, or a zero-argument callable
         returning one (schedules are consumed by a run, so sharing a
         sequence object across scenarios is only safe via a callable).
+        A scenario with events never runs in lockstep: the batched tier
+        refuses it and the engine runs it per scenario.
     seed:
         Per-scenario RNG seed handed to a callable ``environment``.
     params:
@@ -110,7 +112,7 @@ class ScenarioResult:
     extras: dict
     #: Engine path that actually ran this scenario: the engine's
     #: ("codegen", "codegen+kernel", "kernel", "legacy") or the batched
-    #: tier's ("batched", "batched+kernel" for a lane peeled mid-run).
+    #: tier's ("batched").
     execution_path: str = "legacy"
 
     def row(self) -> dict:
@@ -214,7 +216,9 @@ def _execute(payload) -> ScenarioResult:
     scenario_fast = spec.fast if spec.fast != "auto" else fast
     result = simulate(system, environment, duration=spec.duration,
                       events=events, dt=spec.dt, fast=scenario_fast)
-    extras = spec.collect(result) if spec.collect is not None else {}
+    extras = {}
+    if spec.collect is not None:
+        extras = dict(spec.collect(result) or {})
     if batch_fallback_reason is not None:
         extras.setdefault("batch_fallback_reason", batch_fallback_reason)
     return ScenarioResult(
@@ -240,11 +244,12 @@ class SweepRunner:
 
     Execution tiers, per scenario:
 
-    1. **Batched** (``batch="auto"``, the default) — scenarios whose
-       system topology is inside the batched-kernel envelope (see
-       :mod:`repro.simulation.kernel.batched`) are grouped by topology
-       and stepped *in lockstep* as numpy state vectors, bit-for-bit
-       identical to running them one by one. Only groups of at least
+    1. **Batched** (``batch="auto"``, the default) — event-free
+       scenarios whose system topology is inside the batched-kernel
+       envelope (see :mod:`repro.simulation.kernel.batched`) are grouped
+       by topology and stepped *in lockstep* as numpy state vectors,
+       bit-for-bit identical to running them one by one. Only groups
+       of at least
        :data:`~repro.simulation.batched_sweep.LOCKSTEP_MIN_LANES` lanes
        run there: a narrower group is faster on the scalar kernel, so
        its scenarios go on to the per-scenario tiers below.

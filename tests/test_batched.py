@@ -1,15 +1,15 @@
-"""Batched sweep kernel: bit-exactness, eligibility, and masked lanes.
+"""Batched sweep kernel: bit-exactness, eligibility, and event routing.
 
 The batched kernel's contract is that grouping scenarios and stepping
 them in lockstep changes *throughput only*: every recorder column, every
 metric, and the final component state must be bit-for-bit what the
 per-scenario kernel produces. These tests enforce that for all seven
-Table I systems (the masked-lane model batches hill-climbing trackers,
-fuel-cell backup cascades, bus/MCU platforms, and scheduled events),
-exercise divergence buckets — lanes that peel into the scalar
-side-channel and lanes that rejoin lockstep after an event horizon —
-and pin the capability-negotiation behaviour for shapes that genuinely
-have no batched lowering (replaced physics).
+Table I systems (lockstep lanes cover hill-climbing trackers, fuel-cell
+backup cascades, and bus/MCU platforms), check that scenarios with
+scheduled events are refused and run per scenario on the engine, bit
+for bit equal to the legacy path, and pin the capability-negotiation
+behaviour for shapes that genuinely have no batched lowering (replaced
+physics).
 """
 
 from functools import partial
@@ -44,8 +44,8 @@ from repro.systems import SYSTEM_BUILDERS, build_system
 
 DAY = 86_400.0
 
-#: Every Table I letter is inside the batched envelope now that the
-#: masked-lane model batches trackers, backups, and bus platforms.
+#: Every Table I letter is inside the batched envelope: lockstep lanes
+#: cover trackers, backups, and bus platforms.
 BATCH_ELIGIBLE = ("A", "B", "C", "D", "E", "F", "G")
 
 #: Every scalar recorder column, including the derived ones.
@@ -113,6 +113,13 @@ def assert_bitwise_equal(recorder, reference, label: str) -> None:
             f"{label}: channel {index} power diverged"
 
 
+def assert_event_refusal(row) -> None:
+    """The row carries the batched tier's report for scheduled events."""
+    report = row.extras["batch_fallback_reason"]
+    assert (report.component, report.capability) == \
+        ("scenario", "event-free run"), row.name
+
+
 class TestEligibility:
     def test_table1_envelope(self):
         """All seven survey platforms batch — including A (P&O trackers,
@@ -126,7 +133,6 @@ class TestEligibility:
         assert isinstance(report, CapabilityReport)
         assert report.component == "TunedSupercap"
         assert "Supercapacitor physics" in report.capability
-        assert report.divergence == "every step"
         assert "charge" in report.detail
         # The string facade stays in sync with the structured report.
         assert why_batch_ineligible(build_tuned(), 300.0) == report.detail
@@ -135,7 +141,7 @@ class TestEligibility:
 
     def test_batched_envelope_is_inside_kernel_envelope(self):
         """Anything the batched kernel accepts, the scalar kernel must
-        accept too (peeled lanes finish on it)."""
+        accept too."""
         for letter in SYSTEM_BUILDERS:
             system = build_system(letter)
             if batch_eligible(system, 300.0):
@@ -315,15 +321,13 @@ class TestFallback:
         assert [r.name for r in sweep] == ["tuned", "pando", "events",
                                            "eligible"]
         paths = {r.name: r.execution_path for r in sweep}
-        # P&O trackers and scheduled events batch now; only replaced
-        # physics falls off the tier, onto the scalar kernel (which runs
-        # the subclass's own methods).
+        # P&O trackers batch; replaced physics and scheduled events fall
+        # off the tier, onto the scalar kernel (which runs the
+        # subclass's own methods and fires the events between steps).
         assert paths["eligible"] == "batched"
         assert paths["pando"] == "batched"
-        # The swap changes the store class, so the lane peels into the
-        # scalar side-channel mid-run — still the batched tier (the
-        # per-bucket path contract is pinned in TestMaskedLane).
-        assert paths["events"] == "batched+kernel"
+        assert paths["events"] == "kernel"
+        assert_event_refusal(sweep["events"])
         assert paths["tuned"] == "kernel"
 
     def test_fallback_rows_carry_the_capability_report(self):
@@ -332,8 +336,8 @@ class TestFallback:
         report = sweep["tuned"].extras["batch_fallback_reason"]
         assert isinstance(report, CapabilityReport)
         assert report.component == "TunedSupercap"
-        assert report.divergence == "every step"
-        for name in ("pando", "events", "eligible"):
+        assert_event_refusal(sweep["events"])
+        for name in ("pando", "eligible"):
             assert "batch_fallback_reason" not in sweep[name].extras, name
 
     def test_event_scenario_rows_match_per_scenario_run(self,
@@ -352,9 +356,9 @@ class TestFallback:
         with pytest.raises(ValueError, match="TunedSupercap"):
             SweepRunner(processes=1, batch=True).run(self._mixed_specs())
 
-    def test_batch_true_accepts_event_grids(self):
-        """batch=True admits event-carrying scenarios: events are inside
-        the masked-lane envelope, not a refusal."""
+    def test_batch_true_refuses_event_grids(self):
+        """batch=True refuses event-carrying scenarios: lockstep runs
+        event-free groups only."""
         env = partial(outdoor_environment, duration=DAY, dt=600.0)
         specs = [ScenarioSpec(
             name=f"ev{k}", system=partial(build_system, "D"),
@@ -362,8 +366,8 @@ class TestFallback:
             events=lambda: [swap_storage_event(
                 0.25 * DAY, 0, Supercapacitor(capacitance_f=30.0))])
             for k in range(2)]
-        sweep = SweepRunner(processes=1, batch=True).run(specs)
-        assert all(r.execution_path.startswith("batched") for r in sweep)
+        with pytest.raises(ValueError, match="'ev0'.*event-free run"):
+            SweepRunner(processes=1, batch=True).run(specs)
 
     def test_batch_true_accepts_eligible_grids(self):
         env = partial(outdoor_environment, duration=DAY, dt=600.0)
@@ -387,12 +391,12 @@ class TestFallback:
             SweepRunner(batch="yes")
 
 
-class TestMaskedLane:
-    """Divergence buckets: events segment the lockstep run at horizons;
-    lanes whose mutated topology still matches the group rejoin (with
-    write-back equality enforced), lanes that leave the envelope peel
-    into the scalar side-channel — every shape bit-for-bit equal to a
-    per-scenario run with the same schedule."""
+class TestEventScenarios:
+    """Scheduled events keep a scenario off lockstep: the batched tier
+    refuses it with a ``"scenario"`` report and the engine runs it per
+    scenario, firing each event between steps — every event shape bit
+    for bit equal to the legacy path with the same schedule, while the
+    event-free lanes of the same grid still run in lockstep."""
 
     DT = 300.0
 
@@ -407,11 +411,10 @@ class TestMaskedLane:
                                      initial_soc=0.4,
                                      manager=ThresholdManager())
 
-    # Event shapes and the execution path each must land on. Same-class
-    # swaps keep the topology signature and REJOIN lockstep; cross-class
-    # swaps (and t=0 swaps) peel to the scalar kernel side-channel — so
-    # does a swap to a store subclass with no batched lowering, which
-    # the scalar kernel runs through its own methods.
+    # Event shapes: same-class and cross-class store swaps, a harvester
+    # swap, two events in one run, a swap due at t=0, and a swap to a
+    # store subclass with no batched lowering (the scalar kernel runs it
+    # through its own methods).
     @staticmethod
     def _same_class():
         return [swap_storage_event(6 * 3600.0, 0,
@@ -457,20 +460,31 @@ class TestMaskedLane:
 
     def _cases(self):
         return [
-            ("none", None, "batched"),
-            ("same-class", self._same_class, "batched"),
-            ("cross-class", self._cross_class, "batched+kernel"),
-            ("harvester", self._harvester, "batched"),
-            ("double", self._double, "batched"),
-            ("t0", self._t0, "batched+kernel"),
-            ("subclass", self._subclass, "batched+kernel"),
+            ("none", None),
+            ("same-class", self._same_class),
+            ("cross-class", self._cross_class),
+            ("harvester", self._harvester),
+            ("double", self._double),
+            ("t0", self._t0),
+            ("subclass", self._subclass),
         ]
 
-    def test_event_shapes_bitwise_and_write_back(self):
-        """Every divergence bucket in one mixed grid: expected path,
+    def _reference(self, cap, k, events, fast):
+        """A plain per-scenario run of one grid cell."""
+        return simulate(self._build(cap),
+                        outdoor_environment(duration=DAY, dt=self.DT,
+                                            seed=40 + k),
+                        duration=DAY, dt=self.DT,
+                        events=events() if events else None, fast=fast)
+
+    def test_event_shapes_bitwise_and_write_back(self, monkeypatch):
+        """Every event shape in one mixed grid: expected path and report,
         bitwise recorders, metrics, and final component state all equal
-        to per-scenario ``simulate(..., events=...)`` runs."""
-        captured, collect = _grab_recorders()
+        to per-scenario ``simulate(..., events=..., fast=False)`` runs."""
+        # batch=True refuses event scenarios, so lockstep is reached
+        # through "auto" with every group wide enough for it.
+        monkeypatch.setattr(batched_sweep, "LOCKSTEP_MIN_LANES", 1)
+        captured = {}
         cases = self._cases()
         caps = (8.0, 25.0)
         specs = [
@@ -479,22 +493,25 @@ class TestMaskedLane:
                          environment=partial(outdoor_environment,
                                              duration=DAY, dt=self.DT),
                          duration=DAY, seed=40 + k, events=events,
-                         params={}, collect=collect)
-            for label, events, _ in cases
+                         params={},
+                         collect=partial(captured.__setitem__,
+                                         f"{label}-{k}"))
+            for label, events in cases
             for k, cap in enumerate(caps)
         ]
-        sweep = SweepRunner(processes=1, batch=True).run(specs)
+        sweep = SweepRunner(processes=1, batch="auto").run(specs)
         i = 0
-        for label, events, want_path in cases:
+        for label, events in cases:
             for k, cap in enumerate(caps):
-                row, result = sweep[i], captured[i]
-                assert row.execution_path == want_path, \
-                    (row.name, row.execution_path, want_path)
-                ref = simulate(self._build(cap),
-                               outdoor_environment(duration=DAY, dt=self.DT,
-                                                   seed=40 + k),
-                               duration=DAY, dt=self.DT,
-                               events=events() if events else None)
+                row, result = sweep[i], captured[specs[i].name]
+                if events is None:
+                    assert row.execution_path == "batched", row.name
+                    assert "batch_fallback_reason" not in row.extras
+                else:
+                    assert_event_refusal(row)
+                    assert row.execution_path == self._reference(
+                        cap, k, events, "auto").execution_path, row.name
+                ref = self._reference(cap, k, events, False)
                 assert_bitwise_equal(result.recorder, ref.recorder,
                                      row.name)
                 assert row.metrics == ref.metrics, row.name
@@ -508,12 +525,13 @@ class TestMaskedLane:
                     rs.manager.control_passes, row.name
                 i += 1
 
-    def test_table1_event_scenarios_stay_batched(self):
+    def test_table1_grid_batches_around_an_event_lane(self, monkeypatch):
         """A System A grid where one lane hot-swaps a harvester: the
-        swapped lane rejoins lockstep (same topology signature) and the
-        untouched lanes' write-back is unaffected — all bitwise."""
+        untouched lanes run in lockstep, the swapped lane runs per
+        scenario — all three bitwise equal to per-scenario runs."""
         from repro.harvesters import PhotovoltaicCell as PV
-        captured, collect = _grab_recorders()
+        monkeypatch.setattr(batched_sweep, "LOCKSTEP_MIN_LANES", 1)
+        captured = {}
 
         def events_for(k):
             if k != 1:
@@ -527,17 +545,20 @@ class TestMaskedLane:
                          environment=partial(outdoor_environment,
                                              duration=DAY, dt=self.DT),
                          duration=DAY, seed=70 + k, events=events_for(k),
-                         params={}, collect=collect)
+                         params={}, collect=partial(captured.__setitem__, k))
             for k in range(3)
         ]
-        sweep = SweepRunner(processes=1, batch=True).run(specs)
-        assert [r.execution_path for r in sweep] == ["batched"] * 3
-        for k, (row, result) in enumerate(zip(sweep, captured)):
+        sweep = SweepRunner(processes=1, batch="auto").run(specs)
+        assert [r.execution_path for r in sweep] == \
+            ["batched", "kernel", "batched"]
+        assert_event_refusal(sweep[1])
+        for k, row in enumerate(sweep):
             events = events_for(k)
             ref = simulate(build_system("A"),
                            outdoor_environment(duration=DAY, dt=self.DT,
                                                seed=70 + k),
                            duration=DAY, dt=self.DT,
                            events=events() if events else None)
-            assert_bitwise_equal(result.recorder, ref.recorder, row.name)
+            assert_bitwise_equal(captured[k].recorder, ref.recorder,
+                                 row.name)
             assert row.metrics == ref.metrics, row.name

@@ -10,6 +10,7 @@ collection, and the benchmark trajectory records.
 
 import dataclasses
 import json
+import time
 
 import pytest
 
@@ -490,6 +491,24 @@ class TestSweepDedup:
         records = list(Catalog(tmp_path / "store").manifest)
         assert len(records) == 4
         assert all(record.wall_time_s > 0 for record in records), records
+
+    def test_batched_tier_archives_each_lanes_build_time(self, tmp_path,
+                                                         monkeypatch):
+        # A lane's archived wall time includes its own environment build,
+        # not only its share of the lockstep run.
+        build = sweep_module._build_environment
+
+        def slow_build(spec):
+            time.sleep(0.05)
+            return build(spec)
+
+        monkeypatch.setattr(sweep_module, "_build_environment", slow_build)
+        result = SweepRunner(processes=1, batch=True, catalog=Catalog(
+            tmp_path / "store")).run(make_grid(16))
+        assert [r.execution_path for r in result] == ["batched"] * 16
+        records = list(Catalog(tmp_path / "store").manifest)
+        assert len(records) == 16
+        assert all(record.wall_time_s >= 0.05 for record in records), records
 
     def test_cross_tier_hits_are_bitwise(self, tmp_path):
         # Archive on the batched tier, hit from the in-process tier (and

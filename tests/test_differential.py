@@ -20,14 +20,16 @@ paths:
   channel count and areas, supercap size and SoC) makes every run reach
   the fused emission too.
 
-The masked-lane envelope covers every registry platform — fuel-cell
+The batched envelope covers every registry platform — fuel-cell
 backup cascades, P&O/IncCond hill-climbing trackers, bus/MCU
 platforms — so the registry corpus exercises all of them on the
 batched tier. A second seeded generator draws *event schedules*
 (same-class and cross-class storage swaps, harvester swaps, t=0
-events) over fuzzed reference platforms, pinning the divergence
-buckets: rejoining lanes and peeled lanes must both reproduce a
-per-scenario run bit for bit. Shapes with genuinely no lowering
+events) over fuzzed reference platforms and runs each through a
+``batch="auto"`` sweep: the batched tier refuses every scenario that
+carries events, and the sweep's per-scenario path must reproduce the
+legacy run with the same schedule bit for bit, while the event-free
+cases still run in lockstep. Shapes with genuinely no lowering
 (replaced physics) keep the fallback contract honest.
 
 The corpus is deterministic (fixed per-case seeds), so a failure here
@@ -158,11 +160,9 @@ INELIGIBLE_SYSTEMS = {
 def fuzz_event_case(index: int):
     """One fuzzed (system builder, event factory) pair — pure in index.
 
-    Draws the shapes the masked-lane model exists for: hill-climbing
-    trackers (P&O / IncCond), optional fuel-cell backup cascades, and a
-    random schedule of storage/harvester swaps whose targets force
-    different divergence buckets (same-class rejoin, cross-class peel,
-    t=0 peel).
+    Draws hill-climbing trackers (P&O / IncCond), optional fuel-cell
+    backup cascades, and a random schedule of storage/harvester swaps
+    (same-class and cross-class targets, some due at t=0).
     """
     rng = random.Random(0xE1E7 * 1000 + index)
     tracker = rng.choice((None,  # make_reference_system default: P&O
@@ -403,9 +403,9 @@ EVENT_CASES = 10
 
 
 class TestFuzzedEventDifferential:
-    """Masked-lane differential: fuzzed event schedules over fuzzed
-    platforms (hill-climbing trackers, fuel-cell backups), batched tier
-    vs per-scenario engine, bit for bit."""
+    """Event differential: fuzzed event schedules over fuzzed platforms
+    (hill-climbing trackers, fuel-cell backups), the sweep's
+    per-scenario path vs the legacy oracle, bit for bit."""
 
     def test_event_corpus_is_deterministic(self):
         a = [fuzz_event_case(i)[2] for i in range(EVENT_CASES)]
@@ -413,7 +413,7 @@ class TestFuzzedEventDifferential:
         assert a == b
 
     @pytest.mark.parametrize("index", range(EVENT_CASES))
-    def test_batched_matches_per_scenario_run(self, index):
+    def test_sweep_matches_legacy_run(self, index, monkeypatch):
         build_system, make_events, seed = fuzz_event_case(index)
         envf = partial(outdoor_environment, duration=DAY, dt=600.0)
         captured = []
@@ -421,20 +421,30 @@ class TestFuzzedEventDifferential:
             name=f"event-fuzz{index}", system=build_system,
             environment=envf, duration=DAY, seed=seed,
             events=make_events, collect=captured.append)
-        row = SweepRunner(processes=1, batch=True).run([scenario])[0]
-        # Event-carrying lanes ride the batched tier: they rejoin
-        # lockstep or peel into the scalar side-channel, never refuse.
-        assert row.execution_path.startswith("batched"), row.execution_path
+        # The width floor at 1 leaves only the envelope to keep a
+        # single-scenario sweep off lockstep.
+        monkeypatch.setattr(batched_sweep, "LOCKSTEP_MIN_LANES", 1)
+        row = SweepRunner(processes=1, batch="auto").run([scenario])[0]
+        if make_events is None:
+            assert row.execution_path == "batched"
+        else:
+            # Scheduled events keep the scenario off lockstep: the
+            # engine runs it per scenario.
+            report = row.extras["batch_fallback_reason"]
+            assert report.component == "scenario"
+            assert not row.execution_path.startswith("batched")
 
         reference = simulate(
             build_system(), envf(seed=seed), duration=DAY, dt=600.0,
-            events=make_events() if make_events is not None else None)
+            events=make_events() if make_events is not None else None,
+            fast=False)
+        assert reference.execution_path == "legacy"
         result = captured[0]
         assert_bitwise_equal(result.recorder, reference.recorder,
                              scenario.name)
         assert row.metrics == reference.metrics
-        # Write-back: the lane's component objects end bit-identical to
-        # the per-scenario system, whatever bucket the lane took.
+        # The scenario's component objects end bit-identical to the
+        # legacy run's.
         for store, ref_store in zip(result.system.bank.stores,
                                     reference.system.bank.stores):
             assert type(store) is type(ref_store)

@@ -15,8 +15,12 @@ from repro.simulation import (
     swap_storage_event,
 )
 from repro.storage import Supercapacitor
+from repro.systems import build_system
 
 DAY = 86_400.0
+
+#: One dict every call of :func:`shared_extras` returns.
+SHARED_EXTRAS = {"source": "shared"}
 
 
 def build_pv_system(area_cm2: float):
@@ -27,6 +31,10 @@ def build_pv_system(area_cm2: float):
 
 def collect_coverage(result) -> dict:
     return {"coverage": result.metrics.harvest_coverage}
+
+
+def shared_extras(result) -> dict:
+    return SHARED_EXTRAS
 
 
 def make_events():
@@ -110,6 +118,47 @@ class TestSweepRunner:
                             environment="not-an-environment")
         with pytest.raises(TypeError, match="environment"):
             SweepRunner(processes=1).run([spec])
+
+
+def _system_d_specs(**overrides):
+    """Two 0.1-day System D scenarios (dt 600 s)."""
+    env = partial(outdoor_environment, duration=0.1 * DAY, dt=600.0)
+    return [ScenarioSpec(name=f"d{k}", system=partial(build_system, "D"),
+                         environment=env, seed=k, **overrides)
+            for k in range(2)]
+
+
+class TestCollectHooks:
+    """A hook's return value is copied into the row's extras: a hook that
+    returns None leaves them empty, and a dict it shares across calls is
+    never written to."""
+
+    @pytest.mark.parametrize("batch, fast, path", [
+        ("auto", False, "legacy"),   # refused: the row carries a report
+        (False, "auto", "kernel"),
+        (True, "auto", "batched"),
+    ])
+    def test_hook_returning_none(self, batch, fast, path):
+        seen = []
+        sweep = SweepRunner(processes=1, batch=batch, fast=fast).run(
+            _system_d_specs(collect=seen.append))
+        assert len(seen) == 2
+        assert [r.execution_path for r in sweep] == [path] * 2
+        assert len(sweep.rows()) == 2
+        for result in sweep:
+            assert set(result.extras) == (
+                {"batch_fallback_reason"} if fast is False else set())
+
+    def test_shared_dict_is_not_written(self):
+        specs = _system_d_specs(collect=shared_extras)
+        specs[0].fast = False
+        sweep = SweepRunner(processes=1, batch="auto").run(specs)
+        assert [r.execution_path for r in sweep] == ["legacy", "kernel"]
+        assert sweep["d0"].extras["batch_fallback_reason"].component == \
+            "scenario"
+        assert sweep["d1"].extras == {"source": "shared"}
+        assert SHARED_EXTRAS == {"source": "shared"}
+        assert len(sweep.rows()) == 2
 
 
 class TestSweepResult:
