@@ -130,7 +130,9 @@ class StaticManager(EnergyManager):
             if manager.wakeup_energy_j != 0.0:
                 raise LoweringUnsupported(
                     "a manager with non-zero wake-up energy discharges "
-                    "the bank and has no batched lowering")
+                    "the bank and has no batched lowering",
+                    component=type(manager).__name__,
+                    capability="zero wake-up energy")
 
         def writeback(n_steps: int) -> None:
             # Exact replay of control()'s accumulator per distinct

@@ -125,11 +125,10 @@ class HarvestingChannel:
         ``prepare``. Lanes whose channel hardware pickles to identical
         bytes *and* see an identical ambient column collapse to one
         shared column (the common sweep shape: same environment,
-        different storage/node knobs).
+        different storage/node knobs). A disabled channel refuses.
         """
         import pickle
 
-        import numpy as np
         from ..simulation.kernel.batched import (
             BatchedChannelLowering,
             same_class,
@@ -142,24 +141,25 @@ class HarvestingChannel:
         for channel in siblings:
             ensure_unmodified(channel, HarvestingChannel, "step",
                               "swap_harvester")
+            if not channel.enabled:
+                raise LoweringUnsupported(
+                    f"channel {channel.name!r} is disabled; lockstep "
+                    f"lanes harvest on every channel",
+                    component=type(channel).__name__,
+                    capability="enabled channel")
         conditioners = [c.conditioner for c in siblings]
         harvesters = [c.harvester for c in siblings]
         lower_cond = getattr(conditioners[0], "lower_batched", None)
         if lower_cond is None:
             raise LoweringUnsupported(
                 f"channel {self.name!r}: conditioner "
-                f"{type(conditioners[0]).__name__} has no batched lowering")
+                f"{type(conditioners[0]).__name__} has no batched lowering",
+                component=type(conditioners[0]).__name__,
+                capability="batched lowering hook")
         tracker_prepare, surface_builder, converter_out = \
             lower_cond(dt, conditioners, harvesters)
-        flags = [bool(c.enabled) for c in siblings]
-        if all(flags):
-            enabled = True
-        elif not any(flags):
-            enabled = False
-        else:
-            enabled = np.array(flags)
         compressible = False
-        if enabled is True and len(siblings) > 1:
+        if len(siblings) > 1:
             try:
                 blobs = {pickle.dumps((c.harvester, c.conditioner))
                          for c in siblings}
@@ -169,7 +169,7 @@ class HarvestingChannel:
 
         return BatchedChannelLowering(
             tuple(siblings), self.source_type, tracker_prepare,
-            surface_builder, converter_out, enabled, compressible)
+            surface_builder, converter_out, compressible)
 
     def __repr__(self) -> str:
         return (f"HarvestingChannel(name={self.name!r}, "
@@ -515,7 +515,9 @@ class StorageBank:
                               "backup_stores")
             if len(bank.stores) != n_stores:
                 raise LoweringUnsupported(
-                    "banks in a batch must hold the same number of stores")
+                    "banks in a batch must hold the same number of stores",
+                    component=type(bank).__name__,
+                    capability="store count shared across the group")
             for store in bank.stores:
                 # The diode-OR inlines the base emptiness test.
                 ensure_unmodified(store, EnergyStorage, "is_empty", "soc")
@@ -526,7 +528,9 @@ class StorageBank:
             if lower is None:
                 raise LoweringUnsupported(
                     f"store {stores[0].name!r} "
-                    f"({type(stores[0]).__name__}) has no batched lowering")
+                    f"({type(stores[0]).__name__}) has no batched lowering",
+                    component=type(stores[0]).__name__,
+                    capability="batched lowering hook")
             lowered.append(lower(dt, stores))
         state = BatchState()
         state.spilled = gather(siblings, lambda b: b.spilled_j)
@@ -764,7 +768,9 @@ def lower_monitor_batched(systems, bank, channels):
     monitors = [s.monitor for s in systems]
     if len({m.capability for m in monitors}) > 1:
         raise LoweringUnsupported(
-            "a batch cannot mix monitoring capabilities")
+            "a batch cannot mix monitoring capabilities",
+            component=type(monitors[0]).__name__,
+            capability="monitoring capability shared across the group")
     capability = monitors[0].capability
     n = len(systems)
 
@@ -798,7 +804,9 @@ def lower_monitor_batched(systems, bank, channels):
                         for p in protos}) > 1:
                     raise LoweringUnsupported(
                         "a batch cannot mix believed OCV curves at one "
-                        "store position")
+                        "store position",
+                        component=type(beliefs[0]).__name__,
+                        capability="OCV curve shared across the group")
                 socs = np.array(proto._ocv_soc, dtype=np.float64)
                 volts = np.array(proto._ocv_v, dtype=np.float64)
                 proto_cap = gather(protos, lambda p: p.capacity_j)
@@ -1144,14 +1152,17 @@ class MultiSourceSystem:
                               "total_quiescent_current_a")
             if len(system.channels) != n_channels:
                 raise LoweringUnsupported(
-                    "systems in a batch must share the channel count")
+                    "systems in a batch must share the channel count",
+                    component=type(system).__name__,
+                    capability="channel count shared across the group")
 
         def lower_or_refuse(group, role: str):
             lower = getattr(group[0], "lower_batched", None)
             if lower is None:
                 raise LoweringUnsupported(
                     f"{role} {type(group[0]).__name__} has no batched "
-                    f"lowering")
+                    f"lowering", component=type(group[0]).__name__,
+                    capability="batched lowering hook")
             return lower(dt, group)
 
         bank = lower_or_refuse([s.bank for s in siblings], "storage bank")
@@ -1167,7 +1178,9 @@ class MultiSourceSystem:
             manager = None
         elif any(m is None for m in managers):
             raise LoweringUnsupported(
-                "a batch cannot mix managed and unmanaged systems")
+                "a batch cannot mix managed and unmanaged systems",
+                component=next(type(m).__name__ for m in managers if m),
+                capability="manager on every lane or on none")
         else:
             same_class(managers, "manager")
             context = BatchedManagerContext(tuple(siblings), bank,

@@ -38,6 +38,10 @@ __all__ = [
 
 DAY = 86_400.0
 
+#: ``[key, environment]``: the last base realization
+#: :func:`scaled_environment` built.
+_LAST_BASE: list = [None, None]
+
 
 @register("environment", "scaled")
 def scaled_environment(duration: float | None = None,
@@ -52,7 +56,10 @@ def scaled_environment(duration: float | None = None,
     built from the same ``seed``, so N scaled variants of one seed share
     a single stochastic realization — how fleet nodes see one ambient
     field through per-node micro-siting factors (partial shading, mast
-    height, distance to the machine). The identity transform
+    height, distance to the machine). The last base realization built is
+    kept and scaled again while calls ask for the same base factory,
+    seed and keyword arguments: synthesis is deterministic, so it equals
+    a fresh build trace for trace. The identity transform
     (``scale == 1.0 and offset == 0.0``) returns the base environment
     itself, bit-for-bit.
     """
@@ -64,7 +71,11 @@ def scaled_environment(duration: float | None = None,
         kwargs["duration"] = duration
     if dt is not None:
         kwargs["dt"] = dt
-    environment = REGISTRY.get("environment", base)(seed=seed, **kwargs)
+    factory = REGISTRY.get("environment", base)
+    key = (factory, seed, kwargs)
+    if _LAST_BASE[0] != key:
+        _LAST_BASE[:] = [key, factory(seed=seed, **kwargs)]
+    environment = _LAST_BASE[1]
     if scale == 1.0 and offset == 0.0:
         return environment
     channels = {source: environment.trace(source) * scale + offset

@@ -167,7 +167,8 @@ class ThresholdDutyCycle(DutyCycleController):
             if len(controller.levels) != n_levels:
                 raise LoweringUnsupported(
                     "threshold controllers in a batch must share the "
-                    "level count")
+                    "level count", component=type(controller).__name__,
+                    capability="level count shared across the group")
         thresholds = np.array([[t for t, _ in c.levels]
                                for c in controllers], dtype=np.float64)
         intervals = np.array([[i for _, i in c.levels]

@@ -9,12 +9,12 @@ per-step closures and executes with bit-for-bit identical results —
 every system whose orchestration classes (system, bank, channels,
 conditioners) are the library's own is inside its envelope, whatever
 its stores, harvesters, node or manager. The single-supercapacitor /
-P&O platform runs there as one fused codegen step function, every other
-plan on the scalar kernel. ``fast=False`` forces the legacy per-step
-path, and :attr:`SimulationResult.execution_path` reports which path
-actually ran. :class:`SweepRunner` fans whole grids of
-:class:`ScenarioSpec` across worker processes for the comparative
-studies.
+P&O platform runs an event-free segment there as one fused codegen step
+function, every other segment on the scalar kernel. ``fast=False``
+forces the legacy per-step path, and
+:attr:`SimulationResult.execution_path` reports which path actually
+ran. :class:`SweepRunner` fans whole grids of :class:`ScenarioSpec`
+across worker processes for the comparative studies.
 """
 
 from .engine import SimulationResult, Simulator, simulate

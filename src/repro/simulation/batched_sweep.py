@@ -49,12 +49,17 @@ def run_batched_tier(specs, default_fast, on_result=None,
                      route_narrow=False):
     """Try to run each spec on the batched kernel.
 
-    Returns ``(results, remainder, reasons)``: a dict mapping spec index
-    to its :class:`ScenarioResult`, a dict mapping each index that must
-    run on the per-scenario tiers (in input order) to the spec to run
-    there, and each refused index's
+    Returns ``(results, remainder, reasons, built)``: a dict mapping
+    spec index to its :class:`ScenarioResult`, a dict mapping each index
+    that must run on the per-scenario tiers (in input order) to the spec
+    to run there, each refused index's
     :class:`~repro.simulation.kernel.protocol.CapabilityReport` (for
-    fallback-row extras, ``batch=True`` errors, and ``--explain``).
+    fallback-row extras, ``batch=True`` errors, and ``--explain``), and
+    ``(system, build_s)`` for each remainder index whose system was
+    built here, so the in-process tier need not build it again
+    (``build_s`` also counts any environment the remainder spec
+    carries). A group :meth:`BatchedPlan.compile` refuses is refused
+    whole.
 
     With ``route_narrow`` (``SweepRunner(batch="auto")``), every group
     of fewer than :data:`LOCKSTEP_MIN_LANES` lanes joins the remainder
@@ -78,29 +83,40 @@ def run_batched_tier(specs, default_fast, on_result=None,
     remainder: dict = {}
     reasons: dict = {}
     groups: dict = {}
+    built: dict = {}
     # Eligibility probes are memoized per topology signature: every
     # scenario of one group shares component classes and capabilities,
     # so one compile probe answers for all of them. The group compile
-    # below stays authoritative — a member refusing on instance state
-    # the signature cannot see is re-probed individually there.
+    # below stays authoritative for instance state the signature cannot
+    # see.
     probe_cache: dict = {}
     eligible: list = []
 
-    def refuse(index, spec, report) -> None:
+    def hand_back(index, spec, report=None, system=None, build_s=0.0):
         remainder[index] = spec
-        reasons[index] = report
+        if report is not None:
+            reasons[index] = report
+        if system is not None:
+            built[index] = (system, build_s)
+
+    def hand_back_group(entries, report=None) -> None:
+        # The environments built here ride along in the specs, so no
+        # scenario synthesizes its traces twice.
+        for index, spec, system, environment, build_s in entries:
+            hand_back(index, dataclasses.replace(
+                spec, environment=environment), report, system, build_s)
 
     for index, spec in enumerate(specs):
         t0 = time.perf_counter()
         scenario_fast = check_fast(
             spec.fast if spec.fast != "auto" else default_fast)
         if scenario_fast is False:
-            refuse(index, spec, CapabilityReport(
+            hand_back(index, spec, CapabilityReport(
                 component="scenario", capability="compiled execution",
                 detail="fast=False forces the per-scenario legacy path"))
             continue
         if spec.events is not None:
-            refuse(index, spec, CapabilityReport(
+            hand_back(index, spec, CapabilityReport(
                 component="scenario", capability="event-free run",
                 detail="scheduled events run per scenario on the engine"))
             continue
@@ -109,10 +125,11 @@ def run_batched_tier(specs, default_fast, on_result=None,
         try:
             topology = group_signature(system, None, 0)
         except Exception:
-            refuse(index, spec, CapabilityReport(
+            hand_back(index, spec, CapabilityReport(
                 component=type(system).__name__,
                 capability="recognizable topology signature",
-                detail="unrecognized system shape"))
+                detail="unrecognized system shape"),
+                system, time.perf_counter() - t0)
             continue
         # Probe eligibility on the system alone before paying for the
         # environment (stochastic trace synthesis dwarfs system
@@ -129,7 +146,7 @@ def run_batched_tier(specs, default_fast, on_result=None,
                 reason = exc.capability_report()
             probe_cache[probe_dt, topology] = reason
         if reason is not None:
-            refuse(index, spec, reason)
+            hand_back(index, spec, reason, system, time.perf_counter() - t0)
             continue
         eligible.append((index, spec, system, topology,
                          time.perf_counter() - t0))
@@ -137,7 +154,7 @@ def run_batched_tier(specs, default_fast, on_result=None,
     lanes = Counter(topology for _, _, _, topology, _ in eligible)
     for index, spec, system, topology, build_s in eligible:
         if route_narrow and lanes[topology] < LOCKSTEP_MIN_LANES:
-            remainder[index] = spec
+            hand_back(index, spec, system=system, build_s=build_s)
             continue
         t0 = time.perf_counter()
         environment = _build_environment(spec)
@@ -148,9 +165,9 @@ def run_batched_tier(specs, default_fast, on_result=None,
         if dt <= 0 or duration <= 0:
             # Hand invalid geometry to the per-scenario path so the
             # canonical Simulator errors are raised.
-            refuse(index, spec, CapabilityReport(
+            hand_back(index, spec, CapabilityReport(
                 component="scenario", capability="valid run geometry",
-                detail="invalid dt/duration"))
+                detail="invalid dt/duration"), system, build_s)
             continue
         n_steps = max(1, int(round(duration / dt)))
         key = group_signature(system, dt, n_steps)
@@ -160,37 +177,17 @@ def run_batched_tier(specs, default_fast, on_result=None,
     # A group signature leads with the group's dt and step count.
     for (dt, n_steps, *_), entries in groups.items():
         if route_narrow and len(entries) < LOCKSTEP_MIN_LANES:
-            for index, spec, _, environment, _ in entries:
-                remainder[index] = dataclasses.replace(
-                    spec, environment=environment)
+            hand_back_group(entries)
             continue
         t0 = time.perf_counter()
-        systems = [e[2] for e in entries]
         try:
-            plan = BatchedPlan.compile(systems, dt)
-        except LoweringUnsupported:
-            # The memoized probe vouched for the topology, but a member
-            # refuses on instance state the signature cannot see (e.g.
-            # a replaced method). Re-probe individually, hand refusers
-            # back, and retry with the survivors once.
-            kept = []
-            for entry in entries:
-                try:
-                    BatchedPlan.compile([entry[2]], dt)
-                    kept.append(entry)
-                except LoweringUnsupported as exc:
-                    refuse(entry[0], entry[1], exc.capability_report())
-            plan = None
-            if kept:
-                try:
-                    plan = BatchedPlan.compile([e[2] for e in kept], dt)
-                except LoweringUnsupported as exc:
-                    for entry in kept:
-                        refuse(entry[0], entry[1], exc.capability_report())
-                    kept = []
-            entries = kept
-            if plan is None:
-                continue
+            plan = BatchedPlan.compile([e[2] for e in entries], dt)
+        except LoweringUnsupported as exc:
+            # The memoized probe vouched for the topology, but the group
+            # refuses on instance state the signature cannot see (a
+            # wake-up energy, a level count): it runs per scenario.
+            hand_back_group(entries, exc.capability_report())
+            continue
         compileds = [CompiledEnvironment(env, 0.0, n_steps, dt)
                      for _, _, _, env, _ in entries]
         recorders = [Recorder(dt, keep_records=False) for _ in entries]
@@ -215,4 +212,4 @@ def run_batched_tier(specs, default_fast, on_result=None,
             for index, _, _, _, build_s in entries:
                 on_result(index, results[index], build_s + share)
 
-    return results, dict(sorted(remainder.items())), reasons
+    return results, dict(sorted(remainder.items())), reasons, built

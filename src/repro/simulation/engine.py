@@ -29,15 +29,14 @@ Two execution paths produce bit-for-bit identical results:
   conditioner overriding the step phases the kernel replicates) stays
   on the legacy path, chosen before step 0.
 
-The compiled path picks its tier from the plan. Every plan is offered
-to :func:`~repro.simulation.kernel.codegen.prepare_codegen`, which
-accepts one platform shape — a single-supercapacitor / P&O / buck-boost
-system — and emits it as one fused step function, compiled once per
-process per structure, with no per-component closure dispatch at all.
-It runs as ``"codegen"``; a mid-run event hands the rest of the segment
-to the scalar kernel (``"codegen+kernel"``). Every other plan runs on
-the scalar kernel, ``"kernel"``. :attr:`SimulationResult.execution_path`
-reports the tier that ran.
+The compiled path picks its tier per segment. A segment no scheduled
+event fires in is offered to :func:`~repro.simulation.kernel.codegen.
+prepare_codegen`, which accepts one platform shape — a
+single-supercapacitor / P&O / buck-boost system — and runs the segment
+as one fused step function (``"codegen"``), compiled once per process
+per structure. Every other segment runs on the scalar kernel
+(``"kernel"``), which fires events between steps.
+:attr:`SimulationResult.execution_path` reports the tier that ran.
 """
 
 from __future__ import annotations
@@ -75,9 +74,8 @@ class SimulationResult:
         self.system = system
         self.recorder = recorder
         self.metrics = metrics
-        #: Which engine path actually ran: ``"codegen"`` (the fused
-        #: shape), ``"codegen+kernel"`` (an event handed the rest of the
-        #: segment to the scalar kernel), ``"kernel"`` or ``"legacy"``.
+        #: Which engine path ran the segment: ``"codegen"`` (the fused
+        #: shape, no event firing), ``"kernel"`` or ``"legacy"``.
         self.execution_path = execution_path
 
     def __repr__(self) -> str:
@@ -109,13 +107,13 @@ class Simulator:
         prepare_codegen` accepts the plan, the scalar kernel otherwise;
         a system with an orchestration subclass runs the legacy
         per-step path, decided before step 0. ``False`` forces the
-        legacy path. All paths produce bit-for-bit identical recorded
-        columns; the path that actually ran is reported as
-        :attr:`SimulationResult.execution_path` /
-        :attr:`last_execution_path`. On every compiled path, a scheduled
-        event that installs an orchestration subclass mid-run raises
-        :exc:`~repro.simulation.kernel.protocol.LoweringUnsupported`
-        naming it.
+        legacy path. A segment in which a scheduled event fires runs on
+        the scalar kernel. All paths produce bit-for-bit identical
+        recorded columns; the path that actually ran is reported as
+        :attr:`SimulationResult.execution_path`. On the compiled path, a
+        scheduled event that installs an orchestration subclass mid-run
+        raises :exc:`~repro.simulation.kernel.protocol.
+        LoweringUnsupported` naming it.
     """
 
     def __init__(self, system: MultiSourceSystem, environment: Environment,
@@ -135,8 +133,6 @@ class Simulator:
             )
         self._t0 = 0.0
         self._steps_done = 0  # integer step counter; exact for any length
-        #: Execution path of the most recent :meth:`run` (None before).
-        self.last_execution_path: str | None = None
 
     @property
     def time(self) -> float:
@@ -175,22 +171,20 @@ class Simulator:
             compiled = CompiledEnvironment(
                 self.environment, t0, n_steps, dt,
                 step_offset=self._steps_done)
-            try:
-                runner = prepare_codegen(plan, compiled)
-            except LoweringUnsupported:
-                runner = None  # outside the fused shape: the scalar kernel
-            i = 0
+            runner = None
+            # The fused loop fires no events: it takes only a segment
+            # that no scheduled event falls in (run_plan's own test).
+            if self.events.next_time() > compiled.times_list()[-1]:
+                try:
+                    runner = prepare_codegen(plan, compiled)
+                except LoweringUnsupported:
+                    pass  # outside the fused shape: the scalar kernel
             if runner is not None:
-                # Fused tier first; an event boundary hands the
-                # remainder of the segment to the scalar kernel, which
-                # fires the event and carries on.
-                i = runner(self.events, recorder, n_steps)
-            if i == n_steps:
+                runner(recorder, n_steps)
                 path = "codegen"
             else:
-                run_plan(plan, compiled, self.events, recorder, n_steps,
-                         dt, start=i)
-                path = "kernel" if runner is None else "codegen+kernel"
+                run_plan(plan, compiled, self.events, recorder, n_steps, dt)
+                path = "kernel"
         else:
             path = "legacy"
             environment, events = self.environment, self.events
@@ -202,7 +196,6 @@ class Simulator:
                 record = system.step(ambient, dt, t)
                 recorder.append(record)
         self._steps_done += n_steps
-        self.last_execution_path = path
         return SimulationResult(system, recorder, compute_metrics(recorder),
                                 execution_path=path)
 

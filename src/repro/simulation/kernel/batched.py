@@ -269,17 +269,16 @@ class BatchedChannelLowering:
     """
 
     __slots__ = ("channels", "source_type", "_tracker", "_surface",
-                 "_conv_out", "_enabled", "_compressible", "_volt_pre",
-                 "_raw_pre", "_mpp_pre", "_last", "_tracker_writeback")
+                 "_conv_out", "_compressible", "_volt_pre", "_raw_pre",
+                 "_mpp_pre", "_last", "_tracker_writeback")
 
     def __init__(self, channels, source_type, tracker, surface, conv_out,
-                 enabled, compressible):
+                 compressible):
         self.channels = channels
         self.source_type = source_type
         self._tracker = tracker
         self._surface = surface
         self._conv_out = conv_out
-        self._enabled = enabled          # bool array or True
         self._compressible = compressible
         self._volt_pre = None
         self._raw_pre = None
@@ -300,13 +299,6 @@ class BatchedChannelLowering:
             width = 1
         else:
             width = values.shape[1]
-        if self._enabled is False:
-            # Every scenario's channel is disabled: constant zero steps.
-            zeros = np.zeros((values.shape[0], 1))
-            self._volt_pre = zeros
-            self._raw_pre = zeros
-            self._mpp_pre = zeros
-            return
         surface = self._surface.build(values, width)
         schedule = self._tracker.prepare(surface, values)
         self._tracker_writeback = schedule.writeback
@@ -318,14 +310,8 @@ class BatchedChannelLowering:
         gate = voltage <= 0.0
         if schedule.harvesting is not None:
             gate = gate | ~schedule.harvesting
-        raw = np.where(gate, 0.0, raw)
-        if self._enabled is not True:
-            # Mixed enabled flags: disabled lanes record zero HarvestSteps.
-            raw = np.where(self._enabled, raw, 0.0)
-            voltage = np.where(self._enabled, voltage, 0.0)
-            mpp = np.where(self._enabled, mpp, 0.0)
+        self._raw_pre = np.where(gate, 0.0, raw)
         self._volt_pre = voltage
-        self._raw_pre = raw
         self._mpp_pre = mpp
 
     def step(self, i: int, bus_v: np.ndarray):

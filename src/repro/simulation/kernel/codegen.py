@@ -31,10 +31,9 @@ accumulator of the component code is replicated. The fused path is
 bitwise identical to the legacy and scalar-kernel paths; the
 differential and determinism suites enforce it.
 
-Scheduled events never fire inside generated code: the loop breaks at
-the event boundary, writes its locals back to the component objects,
-and the engine finishes the segment on the scalar kernel
-(``run_plan(start=...)``), which fires the event at its loop top.
+Scheduled events never fire inside generated code: the engine offers
+the fused tier only a segment that no event falls in, and runs every
+other segment on the scalar kernel, which fires events between steps.
 
 Compile cache: the emitted source depends only on the fused structure
 — the emission branches, the channel count and which channels have an
@@ -102,8 +101,7 @@ def _compiled_step(cfg):
 # Runner
 # ----------------------------------------------------------------------
 _SIGNATURE = ("def _codegen_run(system, times, avs, scalars, state_arr, "
-              "store_e, store_v, chan_p, base, next_event_t, n_steps, "
-              "start, ctx, consts):")
+              "store_e, store_v, chan_p, base, n_steps, ctx, consts):")
 
 _SCALAR_COLS = (
     ("col_t", "t"), ("col_raw", "harvest_raw"),
@@ -127,11 +125,7 @@ _CTX = {
 class CodegenRunner:
     """A compiled step function bound to one plan + environment segment.
 
-    Calling it runs steps ``start .. n_steps - 1`` (or up to the first
-    scheduled-event boundary) and returns the number completed; the
-    recorder is committed only on full completion — a partial segment
-    is committed by the scalar-kernel continuation the engine runs from
-    the event boundary.
+    Calling it runs steps ``0 .. n_steps - 1`` and commits the recorder.
     """
 
     __slots__ = ("system", "step_fn", "consts", "_avs", "_times")
@@ -151,17 +145,13 @@ class CodegenRunner:
         self._avs = tuple(values_for(lw.source_type)
                           for lw in plan.lowering.channels)
 
-    def __call__(self, schedule, recorder, n_steps: int,
-                 start: int = 0) -> int:
+    def __call__(self, recorder, n_steps: int) -> None:
         (scalars, state_arr, store_e, store_v, chan_p, base) = \
             recorder.columns_for_writing()
-        done = self.step_fn(
-            self.system, self._times, self._avs, scalars, state_arr,
-            store_e, store_v, chan_p, base, schedule.next_time(), n_steps,
-            start, _CTX, self.consts)
-        if done == n_steps:
-            recorder.commit(n_steps)
-        return done
+        self.step_fn(self.system, self._times, self._avs, scalars,
+                     state_arr, store_e, store_v, chan_p, base, n_steps,
+                     _CTX, self.consts)
+        recorder.commit(n_steps)
 
 
 def prepare_codegen(plan, compiled) -> CodegenRunner:
@@ -415,7 +405,7 @@ def _emit_fused(c) -> str:
 
     All mutable state lives in plain Python locals for the whole
     segment; component objects are read once in the prologue and
-    written back once at the boundary. Only the leaf harvester physics
+    written back once after the loop. Only the leaf harvester physics
     (``open_circuit_voltage`` / ``power_at`` / ``max_power``) stays as
     bound-method calls, behind single-slot memos that are sound because
     library harvesters are pure in ``(voltage, ambient)`` — the same
@@ -493,12 +483,8 @@ def _emit_fused(c) -> str:
     A("    onhas = False")
     A("    onkey = 0.0")
     A("    onval = 0.0")
-    A("    done = n_steps")
-    A("    for i in range(start, n_steps):")
+    A("    for i in range(n_steps):")
     A("        t = times[i]")
-    A("        if next_event_t <= t:")
-    A("            done = i")
-    A("            break")
     if c["manager"]:
         # StaticManager.control with wakeup_energy_j == 0 and a no-op
         # policy: only the scheduling counters remain.
@@ -707,34 +693,32 @@ def _emit_fused(c) -> str:
     A("        state_arr[row] = res_state")
     A("        store_e[row, 0] = sc_energy")
     A("        store_v[row, 0] = v_fast")
-    # -- write-back: locals -> objects (only if any step ran) -----------
-    A("    if done > start:")
-    A("        store.v_fast = v_fast")
-    A("        store.v_slow = v_slow")
-    A("        store.energy_j = sc_energy")
-    A("        store.total_charged_j = sc_charged")
-    A("        store.total_discharged_j = sc_discharged")
-    A("        bank.spilled_j = spilled")
-    A("        node.state = RUNNING if nstate == 0 else "
+    # -- write-back: locals -> objects ----------------------------------
+    A("    store.v_fast = v_fast")
+    A("    store.v_slow = v_slow")
+    A("    store.energy_j = sc_energy")
+    A("    store.total_charged_j = sc_charged")
+    A("    store.total_discharged_j = sc_discharged")
+    A("    bank.spilled_j = spilled")
+    A("    node.state = RUNNING if nstate == 0 else "
       "(DEAD if nstate == 1 else REBOOTING)")
-    A("        node._reboot_remaining = nreboot")
-    A("        node.total_measurements = nmeas")
-    A("        node.total_packets = npack")
-    A("        node.total_energy_j = nenergy")
-    A("        node.dead_seconds = ndead")
-    A("        node.brownouts = nbrown")
+    A("    node._reboot_remaining = nreboot")
+    A("    node.total_measurements = nmeas")
+    A("    node.total_packets = npack")
+    A("    node.total_energy_j = nenergy")
+    A("    node.dead_seconds = ndead")
+    A("    node.brownouts = nbrown")
     if c["manager"]:
-        A("        mgr._since_control = mgr_since")
-        A("        mgr.control_passes = mgr_passes")
-        A("        mgr.energy_spent_j = mgr_spent")
+        A("    mgr._since_control = mgr_since")
+        A("    mgr.control_passes = mgr_passes")
+        A("    mgr.energy_spent_j = mgr_spent")
     for k in range(len(c["channels"])):
-        A(f"        tr_{k}._voltage = tv_{k}")
-        A(f"        tr_{k}._last_power = tlp_{k}")
-        A(f"        tr_{k}._direction = tdir_{k}")
-        A(f"        tr_{k}._elapsed = tel_{k}")
-        A(f"        ch_{k}.last_step = HarvestStep(raw_{k}, del_{k}, "
+        A(f"    tr_{k}._voltage = tv_{k}")
+        A(f"    tr_{k}._last_power = tlp_{k}")
+        A(f"    tr_{k}._direction = tdir_{k}")
+        A(f"    tr_{k}._elapsed = tel_{k}")
+        A(f"    ch_{k}.last_step = HarvestStep(raw_{k}, del_{k}, "
           f"tvolt_{k}, mpp_{k})")
-    A("    return done")
     A("")
     return "\n".join(L)
 

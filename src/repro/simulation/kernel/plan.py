@@ -73,16 +73,11 @@ def why_ineligible(system, dt: float = 1.0) -> str | None:
 
 
 def run_plan(plan: KernelPlan, compiled, schedule, recorder, n_steps: int,
-             dt: float, start: int = 0) -> int:
-    """Run steps ``start .. n_steps - 1``; returns ``n_steps``.
+             dt: float) -> int:
+    """Run steps ``0 .. n_steps - 1``; returns ``n_steps``.
 
     Raises :exc:`LoweringUnsupported` when a fired event leaves a system
     that no longer lowers (an orchestration subclass swapped in).
-
-    ``start`` resumes a partially-written segment: the caller has already
-    filled recorder rows ``0 .. start - 1`` (uncommitted) and stepped the
-    system to the same boundary — the engine uses this to hand a fused
-    codegen run over to the scalar kernel at a scheduled event.
     """
     system = plan.system
     times = compiled.times_list()
@@ -126,7 +121,7 @@ def run_plan(plan: KernelPlan, compiled, schedule, recorder, n_steps: int,
     next_event_t = schedule.next_time()
     RUNNING, DEAD = NodeState.RUNNING, NodeState.DEAD
 
-    for i in range(start, n_steps):
+    for i in range(n_steps):
         t = times[i]
 
         # 0. Scheduled events, then revalidate the envelope by

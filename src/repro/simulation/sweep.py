@@ -111,8 +111,8 @@ class ScenarioResult:
     n_steps: int
     extras: dict
     #: Engine path that actually ran this scenario: the engine's
-    #: ("codegen", "codegen+kernel", "kernel", "legacy") or the batched
-    #: tier's ("batched").
+    #: ("codegen", "kernel", "legacy") or the batched tier's
+    #: ("batched").
     execution_path: str = "legacy"
 
     def row(self) -> dict:
@@ -207,10 +207,11 @@ def _execute(payload) -> ScenarioResult:
     ``payload`` is ``(spec, fast, batch_fallback_reason)``: the runner's
     default ``fast`` and the batched tier's capability report for a row
     it refused (None otherwise), which the row carries in its extras —
-    so an archived row keeps it too.
+    so an archived row keeps it too. An in-process payload may end with
+    the system the batched tier already built for the scenario.
     """
-    spec, fast, batch_fallback_reason = payload
-    system = _build_system(spec)
+    spec, fast, batch_fallback_reason, *built = payload
+    system = built[0] if built else _build_system(spec)
     environment = _build_environment(spec)
     events = spec.events() if callable(spec.events) else spec.events
     scenario_fast = spec.fast if spec.fast != "auto" else fast
@@ -259,9 +260,8 @@ class SweepRunner:
 
     Rows keep the input order whatever tier ran them, and
     ``execution_path`` reports which one did (``"batched"``,
-    ``"codegen"``, ``"kernel"``, ``"legacy"``, or a ``+``-joined
-    combination when a mid-run event forced a handoff). Per-scenario
-    rows run the scenario's ``fast`` setting like a plain
+    ``"codegen"``, ``"kernel"`` or ``"legacy"``). Per-scenario rows
+    run the scenario's ``fast`` setting like a plain
     :func:`~repro.simulation.simulate` call, so under ``"auto"`` the
     engine picks the fused codegen tier or the scalar kernel from the
     plan. Rows the batched envelope refused carry its
@@ -322,6 +322,7 @@ class SweepRunner:
             pending = self._restore_hits(specs, results, keys, report)
         remainder = {index: specs[index] for index in pending}
         reasons: dict = {}
+        built: dict = {}
         if self.batch in ("auto", True) and pending:
             from .batched_sweep import run_batched_tier
             pending_specs = [specs[i] for i in pending]
@@ -330,9 +331,10 @@ class SweepRunner:
                 def on_result(local_index, result, wall_time_s):
                     self._archive(keys[pending[local_index]], result,
                                   report, wall_time_s)
-            batched, local_remainder, local_reasons = run_batched_tier(
-                pending_specs, self.fast, on_result=on_result,
-                route_narrow=self.batch == "auto")
+            batched, local_remainder, local_reasons, local_built = \
+                run_batched_tier(pending_specs, self.fast,
+                                 on_result=on_result,
+                                 route_narrow=self.batch == "auto")
             if self.batch is True and local_remainder:
                 first = next(iter(local_remainder))
                 raise ValueError(
@@ -344,6 +346,7 @@ class SweepRunner:
             remainder = {pending[i]: spec
                          for i, spec in local_remainder.items()}
             reasons = {pending[i]: r for i, r in local_reasons.items()}
+            built = {pending[i]: b for i, b in local_built.items()}
         indices = list(remainder)
         # Refused rows carry the batched tier's capability report, so a
         # mixed sweep explains *why* each row missed the tier (``repro
@@ -359,7 +362,8 @@ class SweepRunner:
                 all(self._picklable(p) for p in payloads):
             rest = self._run_pool(payloads, n_proc, indices, keys, report)
         else:
-            rest = self._run_inprocess(payloads, indices, keys, report)
+            rest = self._run_inprocess(payloads, indices, keys, report,
+                                       built)
         for index, result in zip(indices, rest):
             results[index] = result
         return SweepResult(results, catalog_report=report)
@@ -404,18 +408,25 @@ class SweepRunner:
         return pending
 
     def _archive(self, key, result, report, wall_time_s: float) -> None:
-        """Checkpoint one completed scenario (no-op when uncacheable)."""
+        """Checkpoint one completed scenario (no-op without a catalog or
+        when uncacheable)."""
         if key is None or report is None:
             return
         if self.catalog.archive(key, result, wall_time_s) is not None:
             report.archived += 1
 
-    def _run_inprocess(self, payloads, indices, keys, report) -> list:
+    def _run_inprocess(self, payloads, indices, keys, report,
+                       built) -> list:
+        """Run each payload here, on the system the batched tier built
+        for it if any (counting that build in the archived wall time);
+        the pool tier ships specs, as a built system need not pickle."""
         rest = []
         for payload, index in zip(payloads, indices):
+            system, build_s = built.pop(index, (None, 0.0))
+            if system is not None:
+                payload += (system,)
             result, wall_time_s = _timed_execute(payload)
-            if report is not None:
-                self._archive(keys[index], result, report, wall_time_s)
+            self._archive(keys[index], result, report, wall_time_s + build_s)
             rest.append(result)
         return rest
 
@@ -429,8 +440,7 @@ class SweepRunner:
         except Exception:
             return False
 
-    def _run_pool(self, payloads, n_proc: int, indices=None, keys=None,
-                  report=None):
+    def _run_pool(self, payloads, n_proc: int, indices, keys, report):
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else None)
@@ -438,12 +448,10 @@ class SweepRunner:
         # per worker instead of one round-trip per scenario.
         chunksize = max(1, len(payloads) // (4 * n_proc))
         with ctx.Pool(n_proc) as pool:
-            if report is None:
-                return pool.map(_execute, payloads, chunksize=chunksize)
-            # With a catalog attached, stream results back (imap keeps
-            # input order) and checkpoint each scenario as it lands —
-            # a crash loses at most the in-flight chunk, and archiving
-            # stays in the parent (the store is single-writer).
+            # Stream results back (imap keeps input order); with a
+            # catalog attached, each scenario is checkpointed as it
+            # lands — a crash loses at most the in-flight chunk, and
+            # archiving stays in the parent (the store is single-writer).
             rest = []
             for (result, wall_time_s), index in zip(
                     pool.imap(_timed_execute, payloads, chunksize=chunksize),

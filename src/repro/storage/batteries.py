@@ -164,7 +164,8 @@ class ChemistryBattery(EnergyStorage):
             if store._ocv_soc != socs_list or store._ocv_v != volts_list:
                 raise LoweringUnsupported(
                     "batched battery lowering needs one OCV curve across "
-                    "the group")
+                    "the group", component=type(store).__name__,
+                    capability="OCV curve shared across the group")
         capacity = gather(siblings, lambda s: s.capacity_j)
         socs = np.array(socs_list)
         volts = np.array(volts_list)

@@ -510,6 +510,28 @@ class TestSweepDedup:
         assert len(records) == 16
         assert all(record.wall_time_s >= 0.05 for record in records), records
 
+    def test_routed_rows_archive_their_system_build(self, tmp_path,
+                                                    monkeypatch):
+        # A narrow group runs in-process on the systems the batched tier
+        # built to probe it; each row's archived wall time still counts
+        # its own system build.
+        build = sweep_module._build_system
+        calls = []
+
+        def slow_build(spec):
+            calls.append(spec.name)
+            time.sleep(0.05)
+            return build(spec)
+
+        monkeypatch.setattr(sweep_module, "_build_system", slow_build)
+        result = SweepRunner(processes=1, catalog=Catalog(
+            tmp_path / "store")).run(make_grid(4))
+        assert [r.execution_path for r in result] == ["kernel"] * 4
+        assert len(calls) == 4
+        records = list(Catalog(tmp_path / "store").manifest)
+        assert len(records) == 4
+        assert all(record.wall_time_s >= 0.05 for record in records), records
+
     def test_cross_tier_hits_are_bitwise(self, tmp_path):
         # Archive on the batched tier, hit from the in-process tier (and
         # vice versa): the differential contract makes tiers

@@ -258,31 +258,40 @@ class TestFastPathEquivalence:
                 assert simulate(build(), env).execution_path == "codegen"
             assert codegen_stats()["compiles"] == before + 1, shape
 
-    def test_codegen_event_hands_off_to_scalar_kernel(self, request):
-        """A mid-run event stops the fused loop at the step boundary;
-        the scalar kernel fires the event and finishes the segment.
-        The codegen prefix + scalar remainder must equal a pure scalar
-        run — and the legacy run — bitwise."""
+    @pytest.mark.parametrize("pieces, paths", [
+        # The 0.4-day swap fires inside the first segment.
+        ((DAY, DAY), ("kernel", "codegen")),
+        # E8's shape: the swap fires at the second segment's first step.
+        ((0.4 * DAY, 0.6 * DAY), ("codegen", "kernel")),
+    ], ids=["mid-segment", "segment-start"])
+    def test_event_segment_runs_on_the_scalar_kernel(self, request, pieces,
+                                                     paths):
+        """The fused tier takes only a segment no event fires in: the
+        segment holding the swap runs on the scalar kernel from its
+        first step, and an event-free segment of the same Simulator
+        runs fused. Every segment equals legacy's and the run with the
+        fused tier refused, bitwise."""
         dt = 120.0
-        env = outdoor_environment(duration=DAY, dt=dt, seed=29)
+        env = outdoor_environment(duration=2 * DAY, dt=dt, seed=29)
 
-        def events():
-            return [swap_storage_event(
+        def segments(fast="auto"):
+            events = [swap_storage_event(
                 0.4 * DAY, 0, Supercapacitor(capacitance_f=10.0,
                                              initial_soc=0.2))]
+            sim = Simulator(_mixed_system(), env, events=events, dt=dt,
+                            fast=fast)
+            return [sim.run(duration=piece) for piece in pieces]
 
-        legacy = simulate(_mixed_system(), env, duration=DAY, dt=dt,
-                          events=events(), fast=False)
-        codegen = simulate(_mixed_system(), env, duration=DAY, dt=dt,
-                           events=events())
+        legacy = segments(fast=False)
+        codegen = segments()
         request.getfixturevalue("refuse_codegen")
-        scalar = simulate(_mixed_system(), env, duration=DAY, dt=dt,
-                          events=events())
-        assert scalar.execution_path == "kernel"
-        assert codegen.execution_path == "codegen+kernel"
-        _assert_recorders_identical(scalar.recorder, codegen.recorder)
-        _assert_recorders_identical(legacy.recorder, codegen.recorder)
-        assert legacy.metrics == codegen.metrics
+        scalar = segments()
+        assert [r.execution_path for r in scalar] == ["kernel", "kernel"]
+        assert tuple(r.execution_path for r in codegen) == paths
+        for want, got, kernel in zip(legacy, codegen, scalar):
+            _assert_recorders_identical(kernel.recorder, got.recorder)
+            _assert_recorders_identical(want.recorder, got.recorder)
+            assert want.metrics == got.metrics
 
     def test_event_rebind_keeps_equivalence(self, refuse_codegen):
         """A mid-run supercap hot-swap keeps the kernel eligible; its
@@ -349,8 +358,9 @@ class TestFastPathEquivalence:
         """An event that installs an orchestration subclass (a bank
         overriding ``charge``) leaves nothing the kernel can run: the
         recompile's LoweringUnsupported, naming the class, propagates
-        from the fused tier's handoff and from the scalar kernel alike,
-        instead of switching loops mid-run."""
+        from the scalar kernel, which runs the event's segment whether
+        or not the fused tier would take the shape, instead of
+        switching loops mid-run."""
         dt = 120.0
         env = outdoor_environment(duration=DAY, dt=dt, seed=31)
 

@@ -294,3 +294,43 @@ class TestCompositeEnvironments:
         out = outdoor_env.trace(SourceType.LIGHT).mean()
         ind = indoor_env.trace(SourceType.LIGHT).mean()
         assert out > 20 * ind
+
+    def test_scaled_environment_reuses_the_last_base_realization(
+            self, monkeypatch):
+        """Scaled variants of one seeded base synthesize it once, and a
+        variant scaled from the kept realization equals a cold build
+        trace for trace; another seed or base parameter builds anew."""
+        from repro.environment import composite
+        builds = []
+        trace = composite.SolarModel.trace
+
+        def counting(model, *args, **kwargs):
+            builds.append(1)
+            return trace(model, *args, **kwargs)
+
+        def scaled(**kwargs):
+            return composite.scaled_environment(DAY, 300.0, **kwargs)
+
+        def cold(**kwargs):
+            monkeypatch.setattr(composite, "_LAST_BASE", [None, None])
+            return scaled(**kwargs)
+
+        monkeypatch.setattr(composite, "_LAST_BASE", [None, None])
+        monkeypatch.setattr(composite.SolarModel, "trace", counting)
+        variants = [dict(seed=3, scale=0.8),
+                    dict(seed=3, scale=0.5, offset=1.0),
+                    dict(seed=4, scale=0.5, offset=1.0),
+                    dict(seed=4, scale=0.5, offset=1.0,
+                         base_params={"cloudiness": 0.6})]
+        warm = [scaled(**kwargs) for kwargs in variants]
+        assert len(builds) == 3
+        for got, kwargs in zip(warm, variants):
+            want = cold(**kwargs)
+            assert got.sources == want.sources
+            for source in want.sources:
+                assert np.array_equal(got.trace(source).values,
+                                      want.trace(source).values), kwargs
+        assert not np.array_equal(warm[1].trace(SourceType.LIGHT).values,
+                                  warm[2].trace(SourceType.LIGHT).values)
+        assert not np.array_equal(warm[2].trace(SourceType.LIGHT).values,
+                                  warm[3].trace(SourceType.LIGHT).values)
