@@ -1,7 +1,8 @@
 """Content-addressed scenario/result catalog.
 
-A persistent store keyed by the SHA-256 of canonical spec JSON. Three
-capabilities ride on it:
+A persistent store keyed by the SHA-256 of canonical spec JSON. Its
+append-only manifest holds the one archived copy of each result row,
+which restores bitwise. Three capabilities ride on it:
 
 * **dedup cache** — ``run``/``sweep``/``mc`` with a catalog attached
   consult the store before simulating and return archived rows bitwise
@@ -18,9 +19,6 @@ See :mod:`repro.catalog.hashing` for what counts as cache identity and
 """
 
 from ..spec.canonical import spec_hash
-from .artifacts import (ARTIFACT_SCHEMA, columns_to_rows, have_pyarrow,
-                        read_artifact, resolve_format, rows_to_columns,
-                        write_artifact)
 from .bench import (bench_trajectory, default_bench_catalog,
                     default_trajectory_path, import_trajectory,
                     record_bench, write_trajectory)
@@ -30,7 +28,6 @@ from .manifest import Manifest, ManifestRecord, record_matches
 from .store import Catalog, CatalogError, CatalogReport
 
 __all__ = [
-    "ARTIFACT_SCHEMA",
     "CacheKey",
     "Catalog",
     "CatalogError",
@@ -41,18 +38,12 @@ __all__ = [
     "bench_trajectory",
     "code_version",
     "collect_garbage",
-    "columns_to_rows",
     "default_bench_catalog",
     "default_trajectory_path",
-    "have_pyarrow",
     "import_trajectory",
-    "read_artifact",
     "record_bench",
     "record_matches",
-    "resolve_format",
-    "rows_to_columns",
     "scenario_cache_key",
     "spec_hash",
-    "write_artifact",
     "write_trajectory",
 ]

@@ -12,7 +12,8 @@ resolves the store from ``BENCH_CATALOG`` (default: a ``.bench-catalog``
 directory next to the trajectory file), seeds it from a pre-existing
 ``BENCH_sweep.json`` on first contact so no history is lost at the
 migration boundary, appends the new sample, and rewrites the trajectory
-file from the catalog.
+file from the catalog. Every trajectory row carries the ``code_version``
+and ``created_at`` stamps of the sample it came from.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from pathlib import Path
 __all__ = ["record_bench", "bench_trajectory", "import_trajectory",
            "write_trajectory", "default_trajectory_path",
            "default_bench_catalog"]
+
+#: Row keys that say where a sample came from, not what it measured.
+_PROVENANCE = ("code_version", "created_at")
 
 
 def default_trajectory_path() -> Path:
@@ -44,16 +48,22 @@ def default_bench_catalog(trajectory: Path):
 
 def bench_trajectory(catalog) -> dict:
     """The trajectory document (``{"runs": [...]}``) a catalog's bench
-    records describe, in append order."""
+    records describe, in append order. An imported sample keeps the
+    stamps it was imported with (see :func:`import_trajectory`)."""
     runs = []
     for record in catalog.bench_records():
-        runs.append({"benchmark": record.name, **record.payload})
+        runs.append({"benchmark": record.name,
+                     "code_version": record.code_version,
+                     "created_at": record.created_at, **record.payload})
     return {"runs": runs}
 
 
 def _sample_key(benchmark, payload) -> tuple:
-    """Content identity of one trajectory sample (order-insensitive)."""
-    return (str(benchmark), json.dumps(payload, sort_keys=True))
+    """Content identity of one trajectory sample (order-insensitive,
+    provenance stamps ignored)."""
+    measured = {key: value for key, value in payload.items()
+                if key not in _PROVENANCE}
+    return (str(benchmark), json.dumps(measured, sort_keys=True))
 
 
 def import_trajectory(catalog, path) -> int:
@@ -90,7 +100,8 @@ def import_trajectory(catalog, path) -> int:
         if held.get(key, 0) > 0:
             held[key] -= 1
             continue
-        catalog.append_bench(name, payload)
+        catalog.append_bench(name, {"code_version": "", "created_at": "",
+                                    **payload})
         imported += 1
     return imported
 

@@ -12,16 +12,18 @@ that always runs:
 * ``keep_days`` — drop run records older than N days (by their
   ``created_at`` stamp).
 
-After record pruning, artifacts and spec documents no longer referenced
-by any surviving record are deleted, and hit counters for deleted run
-ids are dropped. The manifest rewrite is atomic (tmp + replace), so a
-crash mid-gc leaves either the old or the new manifest, never a torn
-one. ``dry_run=True`` reports what would go without touching anything.
+After record pruning, spec documents no longer referenced by any
+surviving record are deleted, and hit counters for deleted run ids are
+dropped. Every file under ``results/`` goes too: stores written before
+the manifest became the one copy of each row kept a second, columnar
+copy there that nothing reads any more. The manifest and ``stats.json``
+rewrites are atomic (tmp + replace), so a crash mid-gc leaves either
+the old or the new file, never a torn one. ``dry_run=True`` reports
+what would go without touching anything.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 
@@ -102,18 +104,16 @@ def collect_garbage(catalog, *, stale: bool = False,
     report.kept_records = len(keep)
     report.removed_records = sorted(doomed)
 
-    live_artifacts = {r.artifact for r in keep if r.artifact}
     live_specs = {r.spec_hash for r in keep if r.spec_hash}
 
-    # Orphan sweep always runs: any artifact or spec document on disk
-    # that no surviving record references goes too (covers files left
-    # behind by records pruned in earlier dry-run-less passes).
-    for path in sorted(catalog.results_dir.glob("*")):
-        rel = f"results/{path.name}"
-        if rel not in live_artifacts:
-            report.removed_artifacts.append(rel)
-            if not dry_run:
-                path.unlink()
+    # Orphan sweep always runs: every legacy artifact under results/
+    # goes, and so does any spec document that no surviving record
+    # references (covers files left behind by records pruned in earlier
+    # dry-run-less passes).
+    for path in sorted((catalog.root / "results").glob("*")):
+        report.removed_artifacts.append(f"results/{path.name}")
+        if not dry_run:
+            path.unlink()
     for path in sorted(catalog.specs_dir.glob("*/*.json")):
         if path.stem not in live_specs:
             report.removed_specs.append(path.stem)
@@ -127,8 +127,5 @@ def collect_garbage(catalog, *, stale: bool = False,
         surviving_hits = {run_id: count for run_id, count in hits.items()
                          if run_id not in doomed}
         if surviving_hits != hits:
-            catalog._stats_path.write_text(json.dumps(
-                {"hits": surviving_hits,
-                 "total_hits": sum(surviving_hits.values())},
-                indent=2, sort_keys=True) + "\n")
+            catalog._write_hits(surviving_hits)
     return report

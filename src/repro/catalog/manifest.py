@@ -1,15 +1,17 @@
 """The catalog manifest: one JSONL record per archived run.
 
-The manifest is the catalog's queryable index *and* its fast restore
-path. Each archived simulation appends one :class:`ManifestRecord` line
-to ``manifest.jsonl`` carrying the dedup key (``spec_hash`` / ``seed`` /
-``code_version``), provenance (tier that executed it, wall time,
-creation timestamp), and the full result row (metric values, extras,
-step count) — Python's shortest round-trip float ``repr`` makes the
-JSON metric values bitwise-exact, so a dedup hit restores from the
-manifest alone without touching the columnar artifact. Benchmark
-trajectory records (``kind="bench"``) share the same file with a
-free-form ``payload`` instead of a result row.
+The manifest is the catalog's queryable index, its restore path, and
+the one archived copy of each result row. Each archived simulation
+appends one :class:`ManifestRecord` line to ``manifest.jsonl`` carrying
+the dedup key (``spec_hash`` / ``seed`` / ``code_version``), provenance
+(tier that executed it, wall time, creation timestamp), and the full
+result row (metric values, params, extras, step count) — Python's
+shortest round-trip float ``repr`` makes the JSON metric values
+bitwise-exact, so a dedup hit restores from the manifest alone.
+Benchmark trajectory records (``kind="bench"``) share the same file
+with a free-form ``payload`` instead of a result row. Keys a record
+does not know (``artifact`` and ``format`` in stores written before the
+manifest became the one copy) are dropped on load.
 
 Append-only by design: archiving never rewrites the file (only
 :mod:`repro.catalog.gc` does, atomically), so an interrupted sweep
@@ -20,9 +22,10 @@ which is the whole checkpoint/resume mechanism.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, fields
 
-__all__ = ["ManifestRecord", "Manifest", "record_matches"]
+__all__ = ["ManifestRecord", "Manifest", "record_matches", "write_atomic"]
 
 #: Record kinds the manifest holds.
 KIND_RUN = "run"
@@ -45,8 +48,6 @@ class ManifestRecord:
     created_at: str = ""
     wall_time_s: float = 0.0
     n_steps: int = 0
-    artifact: str = ""
-    format: str = ""
     #: The result row: RunMetrics fields (exact float64 via JSON repr).
     metrics: dict = field(default_factory=dict)
     #: The result row's params / extras dicts (JSON form).
@@ -150,16 +151,25 @@ class Manifest:
         """Atomically replace the manifest contents (gc's tool, not the
         archive path's)."""
         records = list(records)
-        tmp = self.path.with_suffix(".jsonl.tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(json.dumps(record.to_dict(), sort_keys=True))
-                handle.write("\n")
-        tmp.replace(self.path)
+        write_atomic(self.path, "".join(
+            json.dumps(record.to_dict(), sort_keys=True) + "\n"
+            for record in records))
         self.records = []
         self._index = {}
         for record in records:
             self._admit(record)
+
+
+def write_atomic(path, text: str) -> None:
+    """Replace ``path``'s contents in one step: the text goes to a
+    sibling temp file that is then ``os.replace``d over the target, so a
+    crash leaves the old file or the new one, never a torn mix."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def record_matches(record: ManifestRecord, *, kind=None, system=None,

@@ -3,19 +3,21 @@
 On-disk layout (everything under one root directory, safe to rsync)::
 
     <root>/
-      catalog.json        # store marker: layout version, artifact format
+      catalog.json        # store marker: layout version
       manifest.jsonl      # one ManifestRecord per archived run (+ bench)
       stats.json          # persistent dedup hit counters per run_id
       specs/ab/abcdef...json   # canonical key documents, content-addressed
-      results/<run_id>.npz     # columnar result artifacts (.parquet with
-                               # the pyarrow extra)
+
+Stores written before the manifest became the one copy of each row also
+hold ``results/<run_id>.*`` artifact files. Nothing reads them;
+:mod:`repro.catalog.gc` deletes them.
 
 Three jobs:
 
-* **Archive** — :meth:`Catalog.archive` writes a completed scenario's
-  result row as a manifest record plus a columnar artifact, and stores
-  the canonical spec document under its hash (content-addressed: the
-  same spec is stored once however many runs reference it).
+* **Archive** — :meth:`Catalog.archive` appends a completed scenario's
+  result row to the manifest, and stores the canonical spec document
+  under its hash (content-addressed: the same spec is stored once
+  however many runs reference it).
 * **Dedup** — :meth:`Catalog.lookup` finds the archived run of a
   ``(spec_hash, seed, code_version)`` key; :meth:`Catalog.restore`
   rebuilds the :class:`~repro.simulation.ScenarioResult` bitwise from
@@ -27,7 +29,10 @@ Three jobs:
 
 Writes happen only in the parent process (pool/batched results return
 to the runner before archiving), so the store needs no locking for the
-supported single-writer workflow.
+supported single-writer workflow. Files that are rewritten whole — the
+marker, spec documents, ``stats.json`` — go through
+:func:`~repro.catalog.manifest.write_atomic`, so a crash leaves the old
+contents or the new, never a torn mix.
 """
 
 from __future__ import annotations
@@ -39,9 +44,9 @@ from pathlib import Path
 
 from ..simulation.metrics import RunMetrics
 from ..simulation.sweep import ScenarioResult
-from .artifacts import read_artifact, resolve_format, write_artifact
 from .hashing import CacheKey, code_version
-from .manifest import KIND_BENCH, KIND_RUN, Manifest, ManifestRecord
+from .manifest import (KIND_BENCH, KIND_RUN, Manifest, ManifestRecord,
+                       write_atomic)
 
 __all__ = ["Catalog", "CatalogError", "CatalogReport"]
 
@@ -54,7 +59,7 @@ _INT_METRICS = frozenset(f.name for f in dataclasses.fields(RunMetrics)
 
 
 class CatalogError(RuntimeError):
-    """A catalog operation failed (bad record, missing artifact, ...)."""
+    """A catalog operation failed (bad record, layout mismatch, ...)."""
 
 
 @dataclasses.dataclass
@@ -100,18 +105,12 @@ class Catalog:
     ----------
     root:
         Store directory; created (with parents) if absent.
-    format:
-        Artifact carrier: ``"auto"`` (Parquet when ``pyarrow`` imports,
-        npz otherwise), ``"npz"``, or ``"parquet"``.
     """
 
-    def __init__(self, root, *, format: str = "auto"):
+    def __init__(self, root):
         self.root = Path(root)
-        self.format = resolve_format(format)
         self.specs_dir = self.root / "specs"
-        self.results_dir = self.root / "results"
         self.specs_dir.mkdir(parents=True, exist_ok=True)
-        self.results_dir.mkdir(parents=True, exist_ok=True)
         self._write_marker()
         self.manifest = Manifest(self.root / "manifest.jsonl")
         self._stats_path = self.root / "stats.json"
@@ -128,14 +127,12 @@ class Catalog:
                     f"{self.root} holds catalog layout {found!r}; this "
                     f"version reads layout {LAYOUT_VERSION}")
             return
-        marker.write_text(json.dumps(
-            {"layout": LAYOUT_VERSION, "format": self.format},
-            indent=2) + "\n")
+        write_atomic(marker, json.dumps({"layout": LAYOUT_VERSION},
+                                        indent=2) + "\n")
 
     def __repr__(self) -> str:
         runs = sum(1 for r in self.manifest if r.kind == KIND_RUN)
-        return (f"Catalog({str(self.root)!r}, {runs} runs, "
-                f"format={self.format!r})")
+        return f"Catalog({str(self.root)!r}, {runs} runs)"
 
     # ------------------------------------------------------------------
     # Dedup: lookup / restore / archive
@@ -181,17 +178,6 @@ class Catalog:
             execution_path=record.execution_path,
         )
 
-    def load_rows(self, record: ManifestRecord) -> list:
-        """Load the columnar artifact of a record (the authoritative
-        archived rows — bitwise identical to :meth:`restore`'s output
-        up to row identity, enforced in the test suite)."""
-        if not record.artifact:
-            raise CatalogError(f"record {record.run_id} has no artifact")
-        path = self.root / record.artifact
-        if not path.exists():
-            raise CatalogError(f"artifact missing: {path}")
-        return read_artifact(path)
-
     def run_id_for(self, key: CacheKey,
                    version: str | None = None) -> str:
         version = code_version() if version is None else version
@@ -205,21 +191,21 @@ class Catalog:
         Idempotent per dedup key: re-archiving an existing key is a
         no-op returning the existing record (first write wins — results
         are deterministic in the key, so there is nothing to update).
-        Returns None when the row cannot be serialized (exotic extras),
-        which callers treat as "this row rides along unarchived".
+        Returns None, having written nothing, when the row cannot be
+        serialized (exotic params/extras), which callers treat as "this
+        row rides along unarchived".
         """
         existing = self.lookup(key)
         if existing is not None:
             return existing
-        run_id = self.run_id_for(key)
-        artifact_name = f"results/{run_id}.{self.format}"
         try:
-            write_artifact(self.root / artifact_name, [result], self.format)
+            params = json.loads(json.dumps(_jsonable(result.params)))
+            extras = json.loads(json.dumps(_jsonable(result.extras)))
         except TypeError:
             return None
         self._store_spec_document(key)
         record = ManifestRecord(
-            run_id=run_id,
+            run_id=self.run_id_for(key),
             kind=KIND_RUN,
             spec_hash=key.spec_hash,
             seed=key.seed,
@@ -231,12 +217,10 @@ class Catalog:
             created_at=_utc_now(),
             wall_time_s=float(wall_time_s),
             n_steps=int(result.n_steps),
-            artifact=artifact_name,
-            format=self.format,
             metrics={field: getattr(result.metrics, field)
                      for field in _METRIC_FIELDS},
-            params=json.loads(json.dumps(_jsonable(result.params))),
-            extras=json.loads(json.dumps(_jsonable(result.extras))),
+            params=params,
+            extras=extras,
         )
         self.manifest.append(record)
         return record
@@ -249,14 +233,20 @@ class Catalog:
         if path.exists() or not key.key_dict:
             return
         shard.mkdir(parents=True, exist_ok=True)
-        path.write_text(canonical_dumps(key.key_dict, indent=2) + "\n")
+        write_atomic(path, canonical_dumps(key.key_dict, indent=2) + "\n")
 
     def spec_document(self, spec_hash: str) -> dict:
         """The canonical key document a spec hash addresses."""
         path = self.specs_dir / spec_hash[:2] / f"{spec_hash}.json"
         if not path.exists():
             raise CatalogError(f"no spec document for hash {spec_hash}")
-        return json.loads(path.read_text())
+        try:
+            return json.loads(path.read_text())
+        except ValueError as exc:
+            # Torn by a crash in a store written before whole-file
+            # writes were atomic.
+            raise CatalogError(f"unreadable spec document {path}: "
+                               f"{exc}") from exc
 
     # ------------------------------------------------------------------
     # Hit counters
@@ -278,7 +268,10 @@ class Catalog:
         hits = self.hit_counts()
         for run_id in run_ids:
             hits[run_id] = hits.get(run_id, 0) + 1
-        self._stats_path.write_text(json.dumps(
+        self._write_hits(hits)
+
+    def _write_hits(self, hits: dict) -> None:
+        write_atomic(self._stats_path, json.dumps(
             {"hits": hits, "total_hits": sum(hits.values())},
             indent=2, sort_keys=True) + "\n")
 

@@ -30,6 +30,12 @@ THERMAL_VOLTAGE = 0.02585
 #: Standard test condition irradiance, W/m^2.
 STC_IRRADIANCE = 1000.0
 
+#: STC photocurrent scale per constructor-argument tuple. The
+#: calibration is a pure function of those five arguments, and replicate
+#: ensembles build the same cell hundreds of times; a hit returns the
+#: float the loop computed, so it is bitwise by construction.
+_IPH_PER_W_M2: dict = {}
+
 
 @register("harvester", "photovoltaic")
 class PhotovoltaicCell(Harvester):
@@ -76,6 +82,15 @@ class PhotovoltaicCell(Harvester):
         self.ideality = ideality
         self.i0 = dark_current_density * area_cm2
 
+        # A subclass may override the I-V methods the calibration calls
+        # (or count those calls), so only the exact class is memoized.
+        key = (area_cm2, efficiency, cells_in_series, ideality,
+               dark_current_density)
+        memoized = type(self) is PhotovoltaicCell
+        if memoized and key in _IPH_PER_W_M2:
+            self._iph_per_w_m2 = _IPH_PER_W_M2[key]
+            return
+
         # Calibrate photocurrent so that MPP power at STC equals
         # area * efficiency * 1000 W/m^2. MPP power is nearly linear in Iph
         # (the Voc log term varies slowly), so fixed-point iteration on the
@@ -90,6 +105,8 @@ class PhotovoltaicCell(Harvester):
             self._iph_per_w_m2 *= ratio
             if abs(ratio - 1.0) < 1e-10:
                 break
+        if memoized:
+            _IPH_PER_W_M2[key] = self._iph_per_w_m2
 
     # ------------------------------------------------------------------
     @property

@@ -374,7 +374,7 @@ class SweepRunner:
     def _restore_hits(self, specs, results, keys, report) -> list:
         """Fill ``results`` with archived rows; return the miss indices.
 
-        The restore path never touches artifact files (manifest rows
+        The restore path reads only the in-memory manifest (its rows
         carry the full result), which is what keeps a full-hit sweep
         orders of magnitude faster than simulating.
         """

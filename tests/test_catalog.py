@@ -1,35 +1,33 @@
 """Tests for the content-addressed catalog (:mod:`repro.catalog`).
 
 Covers the dedup contract end to end: canonical hashing (invariant
-under key order and float formatting), cache-key extraction, columnar
-artifacts, the manifest, archive/restore bitwise round-trips, dedup
-hits on every execution tier, crash/resume (an interrupted sweep
-resumes with only the missing remainder), the query layer, garbage
-collection, and the benchmark trajectory records.
+under key order and float formatting), cache-key extraction, the
+manifest, archive/restore bitwise round-trips, atomic rewrites of the
+store's whole-file documents, stores written before the manifest became
+the one copy of each row, dedup hits on every execution tier,
+crash/resume (an interrupted sweep resumes with only the missing
+remainder), the query layer, garbage collection, and the benchmark
+trajectory records.
 """
 
 import dataclasses
 import json
+import os
 import time
 
 import pytest
 
 from repro.catalog import (
-    ARTIFACT_SCHEMA,
     Catalog,
     CatalogError,
     Manifest,
     ManifestRecord,
     bench_trajectory,
     code_version,
-    have_pyarrow,
     import_trajectory,
-    read_artifact,
     record_bench,
-    resolve_format,
     scenario_cache_key,
     spec_hash,
-    write_artifact,
     write_trajectory,
 )
 from repro.simulation import sweep as sweep_module
@@ -232,58 +230,6 @@ class TestScenarioCacheKey:
 
 
 # ---------------------------------------------------------------------------
-# Columnar artifacts
-# ---------------------------------------------------------------------------
-class TestArtifacts:
-    def test_npz_round_trip_is_bitwise(self, tmp_path):
-        rows = [run_one(s) for s in make_grid(3)]
-        path = tmp_path / "rows.npz"
-        write_artifact(path, rows, "npz")
-        assert_rows_equal(read_artifact(path), rows)
-
-    def test_int_metrics_restore_as_ints(self, tmp_path):
-        row = run_one(make_scenario())
-        path = tmp_path / "row.npz"
-        write_artifact(path, [row], "npz")
-        (loaded,) = read_artifact(path)
-        assert isinstance(loaded.metrics.brownouts, int)
-
-    def test_unjsonable_rows_raise_type_error(self, tmp_path):
-        row = run_one(make_scenario())
-        bad = dataclasses.replace(row, extras={"handle": object()})
-        with pytest.raises(TypeError):
-            write_artifact(tmp_path / "bad.npz", [bad], "npz")
-
-    def test_schema_mismatch_rejected(self, tmp_path):
-        import numpy as np
-        path = tmp_path / "alien.npz"
-        np.savez(path, schema=np.array(["other-schema-v9"]))
-        with pytest.raises(ValueError, match=ARTIFACT_SCHEMA):
-            read_artifact(path)
-
-    def test_unknown_format_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_format("csv")
-
-    def test_auto_format_always_resolves(self):
-        assert resolve_format("auto") in ("npz", "parquet")
-        assert resolve_format("npz") == "npz"
-
-    @pytest.mark.skipif(have_pyarrow(),
-                        reason="pyarrow installed: parquet available")
-    def test_parquet_without_pyarrow_names_the_extra(self):
-        with pytest.raises(RuntimeError, match="parquet"):
-            resolve_format("parquet")
-
-    @pytest.mark.skipif(not have_pyarrow(), reason="needs pyarrow")
-    def test_parquet_round_trip_is_bitwise(self, tmp_path):
-        rows = [run_one(s) for s in make_grid(3)]
-        path = tmp_path / "rows.parquet"
-        write_artifact(path, rows, "parquet")
-        assert_rows_equal(read_artifact(path), rows)
-
-
-# ---------------------------------------------------------------------------
 # Manifest
 # ---------------------------------------------------------------------------
 class TestManifest:
@@ -343,7 +289,7 @@ class TestManifest:
 
 
 # ---------------------------------------------------------------------------
-# The store: archive / restore / load_rows
+# The store: archive / restore
 # ---------------------------------------------------------------------------
 class TestCatalogStore:
     def test_archive_restore_is_bitwise(self, tmp_path):
@@ -358,9 +304,14 @@ class TestCatalogStore:
         assert found.run_id == record.run_id
         restored = catalog.restore(found)
         assert_rows_equal([restored], [truth])
-        # The columnar artifact is the authoritative copy and must agree
-        # with the manifest restore bit for bit.
-        assert_rows_equal(catalog.load_rows(found), [truth])
+
+    def test_int_metrics_restore_as_ints(self, tmp_path):
+        spec = make_scenario()
+        key = scenario_cache_key(spec)
+        Catalog(tmp_path / "store").archive(key, run_one(spec))
+        fresh = Catalog(tmp_path / "store")
+        restored = fresh.restore(fresh.lookup(key))
+        assert isinstance(restored.metrics.brownouts, int)
 
     def test_restore_applies_requesting_identity(self, tmp_path):
         catalog = Catalog(tmp_path / "store")
@@ -388,8 +339,12 @@ class TestCatalogStore:
         spec = make_scenario()
         truth = run_one(spec)
         exotic = dataclasses.replace(truth, extras={"handle": object()})
-        assert catalog.archive(scenario_cache_key(spec), exotic) is None
+        key = scenario_cache_key(spec)
+        assert catalog.archive(key, exotic) is None
         assert len(catalog.manifest) == 0
+        with pytest.raises(CatalogError):
+            catalog.spec_document(key.spec_hash)
+        assert list(catalog.specs_dir.rglob("*")) == []
 
     def test_spec_document_is_content_addressed(self, tmp_path):
         catalog = Catalog(tmp_path / "store")
@@ -432,6 +387,104 @@ class TestCatalogStore:
         monkeypatch.setenv("REPRO_CODE_VERSION", "v-new")
         assert catalog.lookup(key) is None  # upgrade == clean miss
         assert catalog.lookup(key, version="v-old") is not None
+
+
+# ---------------------------------------------------------------------------
+# Atomic whole-file writes, and stores written before this layout
+# ---------------------------------------------------------------------------
+def _crash(*args, **kwargs):
+    raise OSError("simulated crash before the rename")
+
+
+class TestAtomicWrites:
+    """Whole-file documents are replaced in one rename: a crash before
+    it leaves the previous contents, never a torn file."""
+
+    def test_interrupted_hit_count_keeps_the_previous_counters(
+            self, tmp_path, monkeypatch):
+        catalog = Catalog(tmp_path / "store")
+        catalog.record_hits(["a"])
+        before = catalog._stats_path.read_bytes()
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", _crash)
+            with pytest.raises(OSError, match="simulated crash"):
+                catalog.record_hits(["a", "b"])
+        assert catalog._stats_path.read_bytes() == before
+        assert catalog.hit_counts() == {"a": 1}
+        assert not list(catalog.root.glob("*.tmp"))
+
+    def test_interrupted_archive_leaves_no_spec_document(self, tmp_path,
+                                                         monkeypatch):
+        catalog = Catalog(tmp_path / "store")
+        spec = make_scenario()
+        key = scenario_cache_key(spec)
+        truth = run_one(spec)
+        address = (catalog.specs_dir / key.spec_hash[:2]
+                   / f"{key.spec_hash}.json")
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", _crash)
+            with pytest.raises(OSError, match="simulated crash"):
+                catalog.archive(key, truth)
+        assert not address.exists()
+        assert list(address.parent.iterdir()) == []
+        assert len(catalog.manifest) == 0
+        assert catalog.archive(key, truth) is not None
+        assert catalog.spec_document(key.spec_hash) == key.key_dict
+
+
+class TestPreChangeStore:
+    """A store written while each archive also wrote a columnar
+    ``results/`` artifact (manifest records carrying ``artifact`` and
+    ``format``, a ``format`` field in ``catalog.json``) still opens,
+    restores bitwise from its manifest, and gc deletes its artifacts."""
+
+    @pytest.fixture
+    def legacy_store(self, tmp_path):
+        root = tmp_path / "store"
+        spec = make_scenario("legacy")
+        key = scenario_cache_key(spec)
+        truth = run_one(spec)
+        run_id = f"{key.spec_hash[:16]}-s{key.seed}-{code_version()}"
+        (root / "results").mkdir(parents=True)
+        (root / "results" / f"{run_id}.npz").write_bytes(b"PK legacy")
+        shard = root / "specs" / key.spec_hash[:2]
+        shard.mkdir(parents=True)
+        (shard / f"{key.spec_hash}.json").write_text(
+            canonical_dumps(key.key_dict, indent=2) + "\n")
+        (root / "catalog.json").write_text(
+            json.dumps({"layout": 1, "format": "npz"}, indent=2) + "\n")
+        line = {
+            "run_id": run_id, "kind": "run", "spec_hash": key.spec_hash,
+            "seed": key.seed, "name": truth.name, "system": key.system,
+            "environment": key.environment,
+            "execution_path": truth.execution_path,
+            "code_version": code_version(),
+            "created_at": "2026-01-01T00:00:00+00:00",
+            "wall_time_s": 0.25, "n_steps": truth.n_steps,
+            "artifact": f"results/{run_id}.npz", "format": "npz",
+            "metrics": dataclasses.asdict(truth.metrics),
+            "params": truth.params, "extras": truth.extras, "payload": {},
+        }
+        (root / "manifest.jsonl").write_text(
+            json.dumps(line, sort_keys=True) + "\n")
+        return root, key, truth, run_id
+
+    def test_opens_and_restores_bitwise(self, legacy_store):
+        root, key, truth, run_id = legacy_store
+        catalog = Catalog(root)
+        record = catalog.lookup(key)
+        assert record.run_id == run_id
+        assert catalog.manifest.corrupt_lines == 0
+        assert_rows_equal([catalog.restore(record)], [truth])
+
+    def test_gc_deletes_the_legacy_artifact(self, legacy_store):
+        root, key, truth, run_id = legacy_store
+        report = Catalog(root).gc()
+        assert report.removed == 0
+        assert report.removed_artifacts == [f"results/{run_id}.npz"]
+        assert not any((root / "results").iterdir())
+        reopened = Catalog(root)
+        assert_rows_equal([reopened.restore(reopened.lookup(key))], [truth])
 
 
 # ---------------------------------------------------------------------------
@@ -751,18 +804,24 @@ class TestGc:
         fresh_spec = make_scenario("fresh", soc=0.77)
         catalog.archive(scenario_cache_key(fresh_spec), run_one(fresh_spec))
 
+        # Artifacts as a store written before the manifest became the
+        # one copy of each row holds them.
+        legacy = [root / "results" / f"{rid}.npz" for rid in stale_ids]
+        legacy[0].parent.mkdir()
+        for path in legacy:
+            path.write_bytes(b"legacy artifact")
+
         dry = catalog.gc(stale=True, dry_run=True)
         assert dry.removed == 2
         assert len(catalog.manifest) == 3  # dry run touches nothing
-        assert all((root / r.artifact).exists() for r in catalog.manifest)
+        assert all(path.exists() for path in legacy)
 
         report = catalog.gc(stale=True)
         assert sorted(report.removed_records) == sorted(stale_ids)
         assert len(report.removed_artifacts) == 2
         reloaded = Catalog(root)
         assert [r.name for r in reloaded.manifest] == ["fresh"]
-        assert all(not (root / f"results/{rid}.npz").exists()
-                   for rid in stale_ids)
+        assert not any(path.exists() for path in legacy)
         # Hit counters of removed runs are dropped too.
         assert reloaded.hit_counts() == {}
 
@@ -797,7 +856,8 @@ class TestGc:
 
     def test_orphan_sweep_always_runs(self, tmp_path):
         catalog = Catalog(tmp_path / "store")
-        stray = catalog.results_dir / "stray.npz"
+        stray = catalog.root / "results" / "stray.npz"
+        stray.parent.mkdir()
         stray.write_bytes(b"not an artifact")
         report = catalog.gc()
         assert report.removed_artifacts == ["results/stray.npz"]
@@ -836,6 +896,10 @@ class TestBenchTrajectory:
         assert import_trajectory(catalog, legacy) == 2
         assert import_trajectory(catalog, legacy) == 0  # already seeded
         assert len(catalog.bench_records()) == 2
+        # Unstamped history stays unstamped: the importing run's code
+        # version and clock are not its provenance.
+        for run in bench_trajectory(catalog)["runs"]:
+            assert run["code_version"] == run["created_at"] == ""
 
     def test_import_tolerates_missing_file(self, tmp_path):
         catalog = Catalog(tmp_path / "store")
@@ -853,6 +917,23 @@ class TestBenchTrajectory:
         assert [r["benchmark"] for r in document["runs"]] == \
             ["sweep", "ensemble"]
         assert document["runs"][1]["speedup"] == 6.5
+
+    def test_rows_carry_provenance_and_reimport_is_idempotent(
+            self, tmp_path):
+        trajectory = tmp_path / "BENCH_sweep.json"
+        catalog = Catalog(tmp_path / "store")
+        for _ in range(2):
+            record_bench("sweep", {"speedup": 9.0}, catalog=catalog,
+                         trajectory=trajectory)
+        runs = json.loads(trajectory.read_text())["runs"]
+        records = catalog.bench_records()
+        assert len(runs) == len(records) == 2
+        for run, record in zip(runs, records):
+            assert run["code_version"] == record.code_version \
+                == code_version()
+            assert run["created_at"] == record.created_at != ""
+        assert import_trajectory(catalog, trajectory) == 0
+        assert len(catalog.bench_records()) == 2
 
     def test_write_trajectory_round_trips(self, tmp_path):
         catalog = Catalog(tmp_path / "store")
@@ -902,29 +983,3 @@ class TestBenchTrajectory:
         # Without the guard the (explicitly requested) empty document
         # still writes — `catalog bench` without -o keeps working.
         assert write_trajectory(catalog, out) == {"runs": []}
-
-
-# ---------------------------------------------------------------------------
-# Parquet-backed catalog (runs only with the optional extra installed)
-# ---------------------------------------------------------------------------
-@pytest.mark.skipif(not have_pyarrow(), reason="needs pyarrow")
-class TestParquetCatalog:
-    def test_parquet_store_round_trip(self, tmp_path):
-        catalog = Catalog(tmp_path / "store", format="parquet")
-        spec = make_scenario()
-        truth = run_one(spec)
-        record = catalog.archive(scenario_cache_key(spec), truth)
-        assert record.artifact.endswith(".parquet")
-        assert_rows_equal(catalog.load_rows(record), [truth])
-
-    def test_mixed_format_store_reads_both(self, tmp_path):
-        root = tmp_path / "store"
-        npz_spec = make_scenario("npz-row", soc=0.3)
-        Catalog(root, format="npz").archive(
-            scenario_cache_key(npz_spec), run_one(npz_spec))
-        parquet_catalog = Catalog(root, format="parquet")
-        pq_spec = make_scenario("pq-row", soc=0.6)
-        parquet_catalog.archive(scenario_cache_key(pq_spec),
-                                run_one(pq_spec))
-        for record in parquet_catalog.manifest:
-            assert len(parquet_catalog.load_rows(record)) == 1

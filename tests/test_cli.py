@@ -536,6 +536,21 @@ class TestCatalogCLI:
         assert payload["spec_document"]["kind"] == "scenario-key"
         assert main(["catalog", "show", store, "zzz-no-such"]) == 2
 
+    def test_show_survives_a_torn_spec_document(self, tmp_path, capsys):
+        """A spec document torn by a crash (stores written before
+        whole-file writes were atomic) leaves ``show`` printing the
+        record without it."""
+        store = str(tmp_path / "store")
+        self._seed_store(store, capsys)
+        from repro.catalog import Catalog
+        record = next(iter(Catalog(store).manifest))
+        (document,) = (tmp_path / "store" / "specs").glob("*/*.json")
+        document.write_text(document.read_text()[:40])
+        assert main(["catalog", "show", store, record.run_id]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["record"]["run_id"] == record.run_id
+        assert "spec_document" not in payload
+
     def test_query_filters_and_json(self, tmp_path, capsys):
         store = str(tmp_path / "store")
         self._seed_store(store, capsys)
@@ -574,10 +589,12 @@ class TestCatalogCLI:
                            str(tmp_path / "no-legacy.json"))
         store = str(tmp_path / "store")
         from repro.catalog import Catalog
-        Catalog(store).append_bench("sweep", {"speedup": 12.0})
+        record = Catalog(store).append_bench("sweep", {"speedup": 12.0})
         assert main(["catalog", "bench", store]) == 0
         document = json.loads(capsys.readouterr().out)
         assert document["runs"] == [{"benchmark": "sweep",
+                                     "code_version": record.code_version,
+                                     "created_at": record.created_at,
                                      "speedup": 12.0}]
         out_file = tmp_path / "BENCH_sweep.json"
         assert main(["catalog", "bench", store, "-o",
@@ -601,7 +618,8 @@ class TestCatalogCLI:
         out = capsys.readouterr().out
         assert "imported 1 legacy sample(s)" in out
         assert json.loads(out_file.read_text())["runs"] == \
-            [{"benchmark": "sweep", "speedup": 12.0}]
+            [{"benchmark": "sweep", "code_version": "", "created_at": "",
+              "speedup": 12.0}]
         # Idempotent: a second regeneration imports nothing new.
         assert main(["catalog", "bench", store, "-o",
                      str(out_file)]) == 0
