@@ -6,9 +6,10 @@ prints the same rows/series the paper reports, and asserts the expected
 qualitative shape. ``benchmark.pedantic(rounds=1)`` is used throughout:
 these are end-to-end reproduction runs, not microbenchmarks.
 
-Benchmarks that record a trajectory sample write it to the test's
-temporary directory unless ``BENCH_SWEEP_JSON`` names a file, so a test
-run never modifies the tracked ``BENCH_sweep.json``.
+Benchmarks that record a trajectory sample append it to a trajectory
+file in the test's temporary directory unless ``BENCH_SWEEP_JSON``
+names a file, so a test run never modifies the tracked
+``BENCH_sweep.json``.
 """
 
 import os
@@ -17,11 +18,10 @@ import pytest
 
 
 @pytest.fixture(autouse=True)
-def _hermetic_bench_trajectory(tmp_path, monkeypatch):
+def _hermetic_trajectory_file(tmp_path, monkeypatch):
     if "BENCH_SWEEP_JSON" not in os.environ:
         monkeypatch.setenv("BENCH_SWEEP_JSON",
                            str(tmp_path / "BENCH_sweep.json"))
-        monkeypatch.setenv("BENCH_CATALOG", str(tmp_path / "bench-catalog"))
 
 
 def run_once(benchmark, fn, *args, **kwargs):

@@ -11,7 +11,7 @@ only make the suite slower, not the ratio fairer). Each side is timed
 as the fastest of a few interleaved repetitions: contention on a shared
 host only ever adds time, so the minimum is the least noisy estimate.
 
-The result is appended to the benchmark trajectory via
+The result is appended to the trajectory file via
 :func:`repro.catalog.record_bench`, so ``BENCH_sweep.json`` gains a
 ``fleet_sweep`` series CI uploads alongside the existing ones.
 """

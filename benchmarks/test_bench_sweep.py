@@ -11,14 +11,11 @@ Acceptance targets of the batched-execution subsystem:
 * a :class:`~repro.simulation.SweepRunner` fan-out over >= 8 scenarios
   produces metrics identical to sequential ``simulate()`` calls.
 
-Each benchmark appends its steps/sec-per-path record through the
-catalog manifest (:func:`repro.catalog.record_bench`); the
-``BENCH_sweep.json`` trajectory artifact (path overridable via the
-``BENCH_SWEEP_JSON`` environment variable — a temporary file under
-pytest unless it is set, see ``conftest.py``; store overridable via
-``BENCH_CATALOG``) is regenerated from the store after every append,
-so perf regressions stay visible across PRs with the same filename CI
-always uploaded.
+Each benchmark appends its steps/sec-per-path record to the trajectory
+file (:func:`repro.catalog.record_bench`): ``BENCH_sweep.json``, or the
+file the ``BENCH_SWEEP_JSON`` environment variable names — a temporary
+file under pytest unless it is set, see ``conftest.py``. CI uploads it,
+so perf regressions stay visible across PRs.
 """
 
 import time
@@ -205,7 +202,8 @@ def test_bench_codegen_fastpath_1m_steps():
         "legacy_steps_per_s": 1.0 / legacy_rate,
         "codegen_steps_per_s": 1.0 / warm_rate,
         "codegen_speedup": speedup,
-    }, compile_s=compile_s)
+        "compile_s": compile_s,
+    })
     assert len(warm.recorder) == FAST_STEPS
     assert speedup >= CODEGEN_REQUIRED_SPEEDUP
 

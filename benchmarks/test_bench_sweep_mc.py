@@ -13,11 +13,15 @@ uncompressed ensemble workload.
 The baseline is timed on a replicate prefix and compared by
 per-replicate-step rate (running all 256 replicates through the
 per-scenario path would only make the suite slower, not the ratio
-fairer). Each run appends its steps/sec-per-path record through the
-catalog manifest (:func:`repro.catalog.record_bench`), which
-regenerates the ``BENCH_sweep.json`` trajectory artifact.
+fairer). Each side is timed as the fastest of a few interleaved
+repetitions, as the fleet gate is: contention on a shared host only
+ever adds time, and the in-process side swings most, so one timed run
+per side could fail the gate with rows bitwise equal. Each run appends
+its steps/sec-per-path record to the trajectory file
+(:func:`repro.catalog.record_bench`).
 """
 
+import gc
 import time
 
 from repro.catalog import record_bench
@@ -36,6 +40,8 @@ ENSEMBLE_DT = 60.0
 ENSEMBLE_STEPS = int(DAY / ENSEMBLE_DT)
 #: The in-process baseline is timed on a replicate prefix.
 BASELINE_REPLICATES = 32
+#: Interleaved repetitions per side; the fastest of each is compared.
+ENSEMBLE_REPEATS = 3
 
 ROOT_SEED = 42
 
@@ -54,16 +60,21 @@ def _ensemble_spec(replicates: int) -> MonteCarloSpec:
 def test_bench_ensemble_rides_the_batched_tier():
     """256-replicate System C ensemble: batched >= 5x in-process, with
     bit-identical replicate rows on the shared prefix."""
-    t0 = time.perf_counter()
-    baseline = run_ensemble(_ensemble_spec(BASELINE_REPLICATES),
-                            tier="in-process")
-    baseline_rate = (time.perf_counter() - t0) / \
-        (BASELINE_REPLICATES * ENSEMBLE_STEPS)
+    baseline_s = batched_s = float("inf")
+    for _ in range(ENSEMBLE_REPEATS):
+        # Collect before each side so neither pays the other's garbage.
+        gc.collect()
+        t0 = time.perf_counter()
+        baseline = run_ensemble(_ensemble_spec(BASELINE_REPLICATES),
+                                tier="in-process")
+        baseline_s = min(baseline_s, time.perf_counter() - t0)
 
-    t0 = time.perf_counter()
-    batched = run_ensemble(_ensemble_spec(REPLICATES), tier="batched")
-    batched_rate = (time.perf_counter() - t0) / \
-        (REPLICATES * ENSEMBLE_STEPS)
+        gc.collect()
+        t0 = time.perf_counter()
+        batched = run_ensemble(_ensemble_spec(REPLICATES), tier="batched")
+        batched_s = min(batched_s, time.perf_counter() - t0)
+    baseline_rate = baseline_s / (BASELINE_REPLICATES * ENSEMBLE_STEPS)
+    batched_rate = batched_s / (REPLICATES * ENSEMBLE_STEPS)
 
     assert batched.execution_paths() == {"batched": REPLICATES}
     assert len(batched) == REPLICATES

@@ -15,13 +15,13 @@ which restores bitwise. Three capabilities ride on it:
   seed stream.
 
 See :mod:`repro.catalog.hashing` for what counts as cache identity and
-``docs/catalog.md`` for the user guide.
+``docs/catalog.md`` for the user guide. The store holds result rows
+only: :func:`record_bench` appends benchmark samples to the trajectory
+file (:mod:`repro.catalog.bench`), which is their one copy.
 """
 
 from ..spec.canonical import spec_hash
-from .bench import (bench_trajectory, default_bench_catalog,
-                    default_trajectory_path, import_trajectory,
-                    record_bench, write_trajectory)
+from .bench import default_trajectory_path, record_bench
 from .gc import GcReport, collect_garbage
 from .hashing import CacheKey, code_version, scenario_cache_key
 from .manifest import Manifest, ManifestRecord, record_matches
@@ -35,15 +35,11 @@ __all__ = [
     "GcReport",
     "Manifest",
     "ManifestRecord",
-    "bench_trajectory",
     "code_version",
     "collect_garbage",
-    "default_bench_catalog",
     "default_trajectory_path",
-    "import_trajectory",
     "record_bench",
     "record_matches",
     "scenario_cache_key",
     "spec_hash",
-    "write_trajectory",
 ]

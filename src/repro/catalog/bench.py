@@ -1,33 +1,31 @@
-"""Benchmark trajectory records through the catalog manifest.
+"""The benchmark trajectory: one file, one copy of each sample.
 
-Benchmarks used to append straight to ``BENCH_sweep.json``. Now the
-catalog manifest is the source of truth — each sample is a
-``kind="bench"`` record — and ``BENCH_sweep.json`` is a *query output*
-regenerated from the catalog after every append (same filename, same
-``{"runs": [...]}`` shape, so the CI upload path and any downstream
-trajectory tooling keep working unchanged).
+The benchmark suites append their samples straight to
+``BENCH_sweep.json``, the ``{"runs": [...]}`` document CI uploads.
+``BENCH_SWEEP_JSON`` names another file; pytest and CI point it outside
+the checkout, so a benchmark run never modifies the tracked history.
 
-``record_bench`` is the one entry point the benchmark suites call. It
-resolves the store from ``BENCH_CATALOG`` (default: a ``.bench-catalog``
-directory next to the trajectory file), seeds it from a pre-existing
-``BENCH_sweep.json`` on first contact so no history is lost at the
-migration boundary, appends the new sample, and rewrites the trajectory
-file from the catalog. Every trajectory row carries the ``code_version``
-and ``created_at`` stamps of the sample it came from.
+The file is the only copy of that history. :func:`record_bench`
+therefore refuses to touch a file it cannot read, and replaces it whole
+through :func:`~repro.catalog.manifest.write_atomic`, so a crash leaves
+the old document or the new one. Each appended row carries the
+``code_version``, ``created_at`` and ``host`` it was measured under.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import platform
 from pathlib import Path
 
-__all__ = ["record_bench", "bench_trajectory", "import_trajectory",
-           "write_trajectory", "default_trajectory_path",
-           "default_bench_catalog"]
+import numpy
 
-#: Row keys that say where a sample came from, not what it measured.
-_PROVENANCE = ("code_version", "created_at")
+from .hashing import code_version
+from .manifest import write_atomic
+from .store import _utc_now
+
+__all__ = ["record_bench", "default_trajectory_path"]
 
 
 def default_trajectory_path() -> Path:
@@ -37,110 +35,42 @@ def default_trajectory_path() -> Path:
         Path(__file__).resolve().parents[3] / "BENCH_sweep.json"))
 
 
-def default_bench_catalog(trajectory: Path):
-    """The benchmark store: ``BENCH_CATALOG`` env override, else a
-    ``.bench-catalog`` directory beside the trajectory file."""
-    from .store import Catalog
-    root = os.environ.get("BENCH_CATALOG",
-                          str(trajectory.parent / ".bench-catalog"))
-    return Catalog(root)
+def _host() -> dict:
+    """The machine a sample was measured on."""
+    cpus = os.cpu_count()
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "cpus": cpus,
+        "affinity_cpus": (len(os.sched_getaffinity(0))
+                          if hasattr(os, "sched_getaffinity") else cpus),
+    }
 
 
-def bench_trajectory(catalog) -> dict:
-    """The trajectory document (``{"runs": [...]}``) a catalog's bench
-    records describe, in append order. An imported sample keeps the
-    stamps it was imported with (see :func:`import_trajectory`)."""
-    runs = []
-    for record in catalog.bench_records():
-        runs.append({"benchmark": record.name,
-                     "code_version": record.code_version,
-                     "created_at": record.created_at, **record.payload})
-    return {"runs": runs}
+def record_bench(benchmark: str, payload: dict) -> None:
+    """Append one stamped sample to the trajectory file.
 
-
-def _sample_key(benchmark, payload) -> tuple:
-    """Content identity of one trajectory sample (order-insensitive,
-    provenance stamps ignored)."""
-    measured = {key: value for key, value in payload.items()
-                if key not in _PROVENANCE}
-    return (str(benchmark), json.dumps(measured, sort_keys=True))
-
-
-def import_trajectory(catalog, path) -> int:
-    """Seed a catalog with any trajectory samples it does not yet hold.
-
-    Idempotent per *record*, not per file: samples are matched by
-    content (benchmark name + payload, as a multiset, so repeated
-    identical samples import once each), and only the missing ones are
-    appended. The old all-or-nothing guard — skip the whole file as soon
-    as the catalog held *any* bench record — silently dropped the legacy
-    history whenever one new sample landed in a fresh store first (the
-    empty-``BENCH_sweep.json`` regeneration bug). Returns the number of
-    samples imported; 0 when the file is absent or unreadable.
+    A missing file starts a new document. A file that does not parse,
+    or holds no ``runs`` list, raises ``ValueError`` and stays as it
+    is. The stamps go after the payload, so a payload key cannot
+    overwrite them.
     """
+    path = default_trajectory_path()
     try:
-        history = json.loads(Path(path).read_text())
-    except (OSError, ValueError):
-        return 0
-    runs = history.get("runs") if isinstance(history, dict) else None
+        document = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        document = {"runs": []}
+    except ValueError as exc:
+        raise ValueError(f"unreadable benchmark trajectory {path}: "
+                         f"{exc}") from exc
+    runs = document.get("runs") if isinstance(document, dict) else None
     if not isinstance(runs, list):
-        return 0
-    held: dict = {}
-    for record in catalog.bench_records():
-        key = _sample_key(record.name, record.payload)
-        held[key] = held.get(key, 0) + 1
-    imported = 0
-    for run in runs:
-        if not isinstance(run, dict):
-            continue
-        name = str(run.get("benchmark", "unknown"))
-        payload = {key: value for key, value in run.items()
-                   if key != "benchmark"}
-        key = _sample_key(name, payload)
-        if held.get(key, 0) > 0:
-            held[key] -= 1
-            continue
-        catalog.append_bench(name, {"code_version": "", "created_at": "",
-                                    **payload})
-        imported += 1
-    return imported
-
-
-def write_trajectory(catalog, path, *, require_runs: bool = False) -> dict:
-    """Regenerate the trajectory file from the catalog (the query output
-    CI uploads).
-
-    ``require_runs=True`` refuses to write an empty document — the
-    guard that keeps a mis-resolved or freshly-gc'd store from silently
-    replacing the benchmark history with ``{"runs": []}``.
-    """
-    document = bench_trajectory(catalog)
-    if require_runs and not document["runs"]:
-        raise RuntimeError(
-            f"benchmark trajectory is empty: {catalog.root} holds no "
-            f"bench records; refusing to overwrite {path}")
-    Path(path).write_text(json.dumps(document, indent=2) + "\n")
-    return document
-
-
-def record_bench(benchmark: str, payload: dict, *, catalog=None,
-                 trajectory=None, compile_s: float | None = None) -> None:
-    """Append one benchmark sample and refresh the trajectory file.
-
-    ``compile_s`` records one-time compilation cost (the codegen tier's
-    source-emission + ``compile()`` time) separately from steady-state
-    throughput, so trajectory rows distinguish cold-compile runs from
-    warm-cache runs (``compile_s == 0.0``).
-    """
-    trajectory = default_trajectory_path() if trajectory is None \
-        else Path(trajectory)
-    if catalog is None:
-        catalog = default_bench_catalog(trajectory)
-    if compile_s is not None:
-        payload = dict(payload, compile_s=compile_s)
-    import_trajectory(catalog, trajectory)
-    catalog.append_bench(benchmark, payload)
-    # A sample was just appended, so an empty document here means the
-    # store dropped it — fail the benchmark run loudly instead of
-    # regenerating the trajectory to [].
-    write_trajectory(catalog, trajectory, require_runs=True)
+        raise ValueError(f"{path} holds no benchmark trajectory "
+                         f"(no 'runs' list)")
+    runs.append({"benchmark": benchmark, **payload,
+                 "code_version": code_version(),
+                 "created_at": _utc_now(),
+                 "host": _host()})
+    write_atomic(path, json.dumps(document, indent=2) + "\n")

@@ -16,10 +16,13 @@ After record pruning, spec documents no longer referenced by any
 surviving record are deleted, and hit counters for deleted run ids are
 dropped. Every file under ``results/`` goes too: stores written before
 the manifest became the one copy of each row kept a second, columnar
-copy there that nothing reads any more. The manifest and ``stats.json``
-rewrites are atomic (tmp + replace), so a crash mid-gc leaves either
-the old or the new file, never a torn one. ``dry_run=True`` reports
-what would go without touching anything.
+copy there that nothing reads any more. A manifest rewrite writes the
+surviving runs only, so it also drops the benchmark sample lines that
+stores written before the trajectory file became their one copy still
+hold. The manifest and ``stats.json`` rewrites are atomic (tmp +
+replace), so a crash mid-gc leaves either the old or the new file,
+never a torn one. ``dry_run=True`` reports what would go without
+touching anything.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 
 from .hashing import code_version
-from .manifest import KIND_RUN
 
 __all__ = ["GcReport", "collect_garbage"]
 
@@ -70,9 +72,7 @@ def collect_garbage(catalog, *, stale: bool = False,
                     dry_run: bool = False) -> GcReport:
     """Prune catalog records and sweep unreferenced files.
 
-    See the module docstring for the policies. Bench records are never
-    pruned by these policies (the trajectory is the point of keeping
-    them); only run records are candidates.
+    See the module docstring for the policies.
     """
     report = GcReport(dry_run=dry_run)
     current = code_version()
@@ -81,18 +81,17 @@ def collect_garbage(catalog, *, stale: bool = False,
         cutoff = datetime.now(timezone.utc) - timedelta(days=keep_days)
 
     doomed: set = set()
-    runs = [r for r in catalog.manifest if r.kind == KIND_RUN]
-
     if stale:
-        doomed.update(r.run_id for r in runs if r.code_version != current)
+        doomed.update(r.run_id for r in catalog.manifest
+                      if r.code_version != current)
     if cutoff is not None:
-        for record in runs:
+        for record in catalog.manifest:
             stamp = _parse_stamp(record.created_at)
             if stamp is not None and stamp < cutoff:
                 doomed.add(record.run_id)
     if keep_last is not None:
         families: dict = {}
-        for record in runs:  # manifest order == creation order
+        for record in catalog.manifest:  # manifest order == creation order
             families.setdefault((record.spec_hash, record.seed),
                                 []).append(record)
         for family in families.values():

@@ -7,11 +7,12 @@ the dedup key (``spec_hash`` / ``seed`` / ``code_version``), provenance
 (tier that executed it, wall time, creation timestamp), and the full
 result row (metric values, params, extras, step count) — Python's
 shortest round-trip float ``repr`` makes the JSON metric values
-bitwise-exact, so a dedup hit restores from the manifest alone.
-Benchmark trajectory records (``kind="bench"``) share the same file
-with a free-form ``payload`` instead of a result row. Keys a record
-does not know (``artifact`` and ``format`` in stores written before the
-manifest became the one copy) are dropped on load.
+bitwise-exact, so a dedup hit restores from the manifest alone. Keys a
+record does not know (``kind``, ``payload``, and ``artifact`` and
+``format`` in stores written before the manifest became the one copy)
+are dropped on load. A line whose ``kind`` is not ``"run"`` is a
+benchmark sample from a store written while the manifest also kept
+those; loading skips it.
 
 Append-only by design: archiving never rewrites the file (only
 :mod:`repro.catalog.gc` does, atomically), so an interrupted sweep
@@ -27,17 +28,12 @@ from dataclasses import dataclass, field, fields
 
 __all__ = ["ManifestRecord", "Manifest", "record_matches", "write_atomic"]
 
-#: Record kinds the manifest holds.
-KIND_RUN = "run"
-KIND_BENCH = "bench"
-
 
 @dataclass(frozen=True)
 class ManifestRecord:
-    """One archived run (or benchmark sample) in the manifest."""
+    """One archived run in the manifest."""
 
     run_id: str
-    kind: str = KIND_RUN
     spec_hash: str = ""
     seed: int | None = None
     name: str = ""
@@ -53,8 +49,6 @@ class ManifestRecord:
     #: The result row's params / extras dicts (JSON form).
     params: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
-    #: Benchmark payload (``kind="bench"`` records only).
-    payload: dict = field(default_factory=dict)
 
     @property
     def dedup_key(self) -> tuple:
@@ -93,7 +87,10 @@ class Manifest:
                     if not line:
                         continue
                     try:
-                        record = ManifestRecord.from_dict(json.loads(line))
+                        data = json.loads(line)
+                        if data.get("kind", "run") != "run":
+                            continue  # an old store's benchmark sample
+                        record = ManifestRecord.from_dict(data)
                     except (ValueError, TypeError):
                         self.corrupt_lines += 1
                         continue
@@ -101,8 +98,7 @@ class Manifest:
 
     def _admit(self, record: ManifestRecord) -> None:
         self.records.append(record)
-        if record.kind == KIND_RUN:
-            self._index[record.dedup_key] = record
+        self._index[record.dedup_key] = record
 
     def __len__(self) -> int:
         return len(self.records)
@@ -172,7 +168,7 @@ def write_atomic(path, text: str) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def record_matches(record: ManifestRecord, *, kind=None, system=None,
+def record_matches(record: ManifestRecord, *, system=None,
                    environment=None, spec_hash=None, seed=None, seeds=None,
                    code_version=None, name=None, metric_band=None) -> bool:
     """Does one record pass a query's filters?
@@ -183,8 +179,6 @@ def record_matches(record: ManifestRecord, *, kind=None, system=None,
     stream with :func:`~repro.simulation.replicate_seeds` and filters on
     membership); ``spec_hash`` and ``name`` accept prefixes.
     """
-    if kind is not None and record.kind != kind:
-        return False
     if system is not None and record.system != system:
         return False
     if environment is not None and record.environment != environment:

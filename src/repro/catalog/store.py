@@ -4,13 +4,16 @@ On-disk layout (everything under one root directory, safe to rsync)::
 
     <root>/
       catalog.json        # store marker: layout version
-      manifest.jsonl      # one ManifestRecord per archived run (+ bench)
+      manifest.jsonl      # one ManifestRecord per archived run
       stats.json          # persistent dedup hit counters per run_id
       specs/ab/abcdef...json   # canonical key documents, content-addressed
 
 Stores written before the manifest became the one copy of each row also
 hold ``results/<run_id>.*`` artifact files. Nothing reads them;
-:mod:`repro.catalog.gc` deletes them.
+:mod:`repro.catalog.gc` deletes them. Stores written before the
+benchmark trajectory file became the one copy of each sample also hold
+``kind="bench"`` manifest lines; loading skips them, and a gc rewrite
+drops them.
 
 Three jobs:
 
@@ -45,8 +48,7 @@ from pathlib import Path
 from ..simulation.metrics import RunMetrics
 from ..simulation.sweep import ScenarioResult
 from .hashing import CacheKey, code_version
-from .manifest import (KIND_BENCH, KIND_RUN, Manifest, ManifestRecord,
-                       write_atomic)
+from .manifest import Manifest, ManifestRecord, write_atomic
 
 __all__ = ["Catalog", "CatalogError", "CatalogReport"]
 
@@ -131,8 +133,7 @@ class Catalog:
                                         indent=2) + "\n")
 
     def __repr__(self) -> str:
-        runs = sum(1 for r in self.manifest if r.kind == KIND_RUN)
-        return f"Catalog({str(self.root)!r}, {runs} runs)"
+        return f"Catalog({str(self.root)!r}, {len(self.manifest)} runs)"
 
     # ------------------------------------------------------------------
     # Dedup: lookup / restore / archive
@@ -155,9 +156,6 @@ class Catalog:
         requesting scenario's, so a cached result reused under a new
         label carries the new label.
         """
-        if record.kind != KIND_RUN:
-            raise CatalogError(f"record {record.run_id} is a "
-                               f"{record.kind!r} record, not a run")
         try:
             metric_kwargs = {
                 field: (int(record.metrics[field])
@@ -206,7 +204,6 @@ class Catalog:
         self._store_spec_document(key)
         record = ManifestRecord(
             run_id=self.run_id_for(key),
-            kind=KIND_RUN,
             spec_hash=key.spec_hash,
             seed=key.seed,
             name=result.name,
@@ -281,7 +278,7 @@ class Catalog:
     # ------------------------------------------------------------------
     # Query layer
     # ------------------------------------------------------------------
-    def query(self, *, kind: str = KIND_RUN, system: str | None = None,
+    def query(self, *, system: str | None = None,
               environment: str | None = None, spec_hash: str | None = None,
               seed: int | None = None, seed_stream=None,
               metric_band=None, name: str | None = None,
@@ -301,31 +298,11 @@ class Catalog:
             root_seed, stream, n = seed_stream
             seeds = frozenset(replicate_seeds(root_seed, n, stream))
         return [record for record in self.manifest
-                if record_matches(record, kind=kind, system=system,
+                if record_matches(record, system=system,
                                   environment=environment,
                                   spec_hash=spec_hash, seed=seed,
                                   seeds=seeds, metric_band=metric_band,
                                   name=name, code_version=code_version)]
-
-    # ------------------------------------------------------------------
-    # Bench trajectory records
-    # ------------------------------------------------------------------
-    def append_bench(self, benchmark: str, payload: dict) -> ManifestRecord:
-        """Append one benchmark sample as a ``kind="bench"`` record."""
-        count = sum(1 for r in self.manifest if r.kind == KIND_BENCH)
-        record = ManifestRecord(
-            run_id=f"bench-{count:06d}-{benchmark}",
-            kind=KIND_BENCH,
-            name=benchmark,
-            code_version=code_version(),
-            created_at=_utc_now(),
-            payload=json.loads(json.dumps(_jsonable(payload))),
-        )
-        self.manifest.append(record)
-        return record
-
-    def bench_records(self) -> list:
-        return [r for r in self.manifest if r.kind == KIND_BENCH]
 
     # ------------------------------------------------------------------
     # Maintenance

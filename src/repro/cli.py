@@ -20,7 +20,7 @@ Subcommands:
 * ``spec``        — emit canonical spec JSON (``--hash`` for its
   content address, ``--registry`` to list every registered component).
 * ``catalog``     — inspect / maintain a content-addressed result store
-  (``ls``, ``show``, ``query``, ``gc``, ``bench``).
+  (``ls``, ``show``, ``query``, ``gc``).
 * ``experiment``  — run a claim-validation experiment (e3..e11).
 * ``advise``      — rank all seven platforms for a deployment.
 * ``audit X``     — run a system and print the energy waterfall.
@@ -357,8 +357,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c_ls = cat_sub.add_parser("ls", help="list archived runs")
     c_ls.add_argument("path", help="catalog directory")
-    c_ls.add_argument("--kind", choices=("run", "bench"), default="run",
-                      help="record kind to list (default: run)")
 
     c_show = cat_sub.add_parser(
         "show", help="show one archived run (record, spec document, "
@@ -406,15 +404,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c_gc.add_argument("--dry-run", action="store_true",
                       help="report what would be removed without "
                            "touching the store")
-
-    c_bench = cat_sub.add_parser(
-        "bench", help="emit the benchmark trajectory JSON from the "
-                      "store's bench records (the BENCH_sweep.json "
-                      "document CI uploads)")
-    c_bench.add_argument("path", help="catalog directory")
-    c_bench.add_argument("-o", "--output", default=None, metavar="FILE",
-                         help="write the trajectory document here "
-                              "(default: stdout)")
 
     p_exp = sub.add_parser("experiment", help="run a claim experiment")
     p_exp.add_argument("id", choices=sorted(EXPERIMENTS),
@@ -943,17 +932,9 @@ def _cmd_catalog(args) -> int:
     if code is not None:
         return code
     if args.catalog_command == "ls":
-        records = catalog.query(kind=args.kind)
+        records = catalog.query()
         if not records:
-            print(f"catalog {catalog.root}: no {args.kind} records")
-            return 0
-        if args.kind == "bench":
-            body = [(r.run_id, r.name, r.code_version, r.created_at)
-                    for r in records]
-            print(render_table(("run id", "benchmark", "code", "created"),
-                               body,
-                               title=f"catalog {catalog.root}: "
-                                     f"{len(records)} bench record(s)"))
+            print(f"catalog {catalog.root}: no run records")
             return 0
         hits = catalog.hit_counts()
         body = [(r.run_id, r.name, r.system, r.environment,
@@ -1030,32 +1011,6 @@ def _cmd_catalog(args) -> int:
               f"{report.kept_records} record(s) kept")
         for run_id in report.removed_records:
             print(f"  - {run_id}")
-        return 0
-    if args.catalog_command == "bench":
-        from .catalog import (bench_trajectory, default_trajectory_path,
-                              import_trajectory, write_trajectory)
-        if args.output is not None:
-            # Fold any committed legacy history into the store first, so
-            # regenerating against a fresh clone's empty .bench-catalog
-            # extends the trajectory instead of truncating it to [].
-            legacy = default_trajectory_path()
-            imported = import_trajectory(catalog, legacy)
-            if imported:
-                print(f"imported {imported} legacy sample(s) "
-                      f"from {legacy}")
-            try:
-                document = write_trajectory(catalog, args.output,
-                                            require_runs=True)
-            except RuntimeError:
-                print(f"error: benchmark trajectory is empty — "
-                      f"{catalog.root} holds no bench records and "
-                      f"{legacy} has no history to import",
-                      file=sys.stderr)
-                return 1
-            print(f"wrote {len(document['runs'])} benchmark record(s) "
-                  f"to {args.output}")
-        else:
-            print(json.dumps(bench_trajectory(catalog), indent=2))
         return 0
     raise AssertionError(
         f"unhandled catalog command {args.catalog_command!r}")

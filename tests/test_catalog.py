@@ -7,7 +7,7 @@ store's whole-file documents, stores written before the manifest became
 the one copy of each row, dedup hits on every execution tier,
 crash/resume (an interrupted sweep resumes with only the missing
 remainder), the query layer, garbage collection, and the benchmark
-trajectory records.
+trajectory file.
 """
 
 import dataclasses
@@ -22,13 +22,10 @@ from repro.catalog import (
     CatalogError,
     Manifest,
     ManifestRecord,
-    bench_trajectory,
     code_version,
-    import_trajectory,
     record_bench,
     scenario_cache_key,
     spec_hash,
-    write_trajectory,
 )
 from repro.simulation import sweep as sweep_module
 from repro.simulation import batched_sweep as batched_module
@@ -435,8 +432,10 @@ class TestAtomicWrites:
 class TestPreChangeStore:
     """A store written while each archive also wrote a columnar
     ``results/`` artifact (manifest records carrying ``artifact`` and
-    ``format``, a ``format`` field in ``catalog.json``) still opens,
-    restores bitwise from its manifest, and gc deletes its artifacts."""
+    ``format``, a ``format`` field in ``catalog.json``) and while the
+    manifest also kept benchmark samples (``kind="bench"`` lines) still
+    opens, lists and restores its one run bitwise, and gc deletes its
+    artifacts."""
 
     @pytest.fixture
     def legacy_store(self, tmp_path):
@@ -465,17 +464,46 @@ class TestPreChangeStore:
             "metrics": dataclasses.asdict(truth.metrics),
             "params": truth.params, "extras": truth.extras, "payload": {},
         }
+        bench = {
+            "run_id": "bench-000000-sweep", "kind": "bench",
+            "name": "sweep", "code_version": code_version(),
+            "created_at": "2026-01-01T00:00:00+00:00",
+            "payload": {"speedup": 9.0},
+        }
         (root / "manifest.jsonl").write_text(
-            json.dumps(line, sort_keys=True) + "\n")
+            json.dumps(line, sort_keys=True) + "\n"
+            + json.dumps(bench, sort_keys=True) + "\n")
         return root, key, truth, run_id
 
     def test_opens_and_restores_bitwise(self, legacy_store):
         root, key, truth, run_id = legacy_store
         catalog = Catalog(root)
+        assert len(catalog.manifest) == 1
         record = catalog.lookup(key)
         assert record.run_id == run_id
         assert catalog.manifest.corrupt_lines == 0
         assert_rows_equal([catalog.restore(record)], [truth])
+
+    def test_ls_lists_the_one_run(self, legacy_store, capsys):
+        from repro.cli import main
+        root, key, truth, run_id = legacy_store
+        assert main(["catalog", "ls", str(root)]) == 0
+        out = capsys.readouterr().out
+        assert "1 run(s)" in out
+        assert "bench-000000" not in out
+
+    def test_gc_prunes_runs_only(self, legacy_store):
+        root, key, truth, run_id = legacy_store
+        # Every policy on, at values the run passes: nothing goes.
+        report = Catalog(root).gc(stale=True, keep_last=1, keep_days=3650)
+        assert (report.removed, report.kept_records) == (0, 1)
+        reopened = Catalog(root)
+        assert_rows_equal([reopened.restore(reopened.lookup(key))], [truth])
+        # keep_last=0 and keep_days=0 doom every run. The bench line is
+        # no record to prune, and the rewrite drops it with the run.
+        report = reopened.gc(stale=True, keep_last=0, keep_days=0)
+        assert report.removed_records == [run_id]
+        assert (root / "manifest.jsonl").read_text() == ""
 
     def test_gc_deletes_the_legacy_artifact(self, legacy_store):
         root, key, truth, run_id = legacy_store
@@ -863,123 +891,73 @@ class TestGc:
         assert report.removed_artifacts == ["results/stray.npz"]
         assert not stray.exists()
 
-    def test_bench_records_survive_every_policy(self, tmp_path,
-                                                monkeypatch):
-        catalog = Catalog(tmp_path / "store")
-        monkeypatch.setenv("REPRO_CODE_VERSION", "v-old")
-        catalog.append_bench("sweep", {"speedup": 10.0})
-        monkeypatch.setenv("REPRO_CODE_VERSION", "v-new")
-        report = catalog.gc(stale=True, keep_last=0, keep_days=0)
-        assert report.removed == 0
-        assert len(catalog.bench_records()) == 1
-
 
 # ---------------------------------------------------------------------------
-# Benchmark trajectory records
+# Benchmark trajectory file
 # ---------------------------------------------------------------------------
-class TestBenchTrajectory:
-    def test_append_preserves_order(self, tmp_path):
-        catalog = Catalog(tmp_path / "store")
-        catalog.append_bench("sweep", {"speedup": 10.0})
-        catalog.append_bench("ensemble", {"speedup": 7.0})
-        document = bench_trajectory(catalog)
-        assert [r["benchmark"] for r in document["runs"]] == \
-            ["sweep", "ensemble"]
-        assert document["runs"][0]["speedup"] == 10.0
+class TestRecordBench:
+    """``record_bench`` appends stamped rows to the trajectory file, the
+    one copy of the benchmark history."""
 
-    def test_legacy_import_happens_exactly_once(self, tmp_path):
-        legacy = tmp_path / "BENCH_sweep.json"
-        legacy.write_text(json.dumps(
-            {"runs": [{"benchmark": "sweep", "speedup": 9.0},
-                      {"benchmark": "ensemble", "speedup": 5.0}]}))
-        catalog = Catalog(tmp_path / "store")
-        assert import_trajectory(catalog, legacy) == 2
-        assert import_trajectory(catalog, legacy) == 0  # already seeded
-        assert len(catalog.bench_records()) == 2
-        # Unstamped history stays unstamped: the importing run's code
-        # version and clock are not its provenance.
-        for run in bench_trajectory(catalog)["runs"]:
-            assert run["code_version"] == run["created_at"] == ""
+    @pytest.fixture
+    def trajectory(self, tmp_path, monkeypatch):
+        path = tmp_path / "BENCH_sweep.json"
+        monkeypatch.setenv("BENCH_SWEEP_JSON", str(path))
+        return path
 
-    def test_import_tolerates_missing_file(self, tmp_path):
-        catalog = Catalog(tmp_path / "store")
-        assert import_trajectory(catalog, tmp_path / "absent.json") == 0
-
-    def test_record_bench_regenerates_the_trajectory(self, tmp_path):
-        trajectory = tmp_path / "BENCH_sweep.json"
-        trajectory.write_text(json.dumps(
-            {"runs": [{"benchmark": "sweep", "speedup": 9.0}]}))
-        catalog = Catalog(tmp_path / "store")
-        record_bench("ensemble", {"speedup": 6.5}, catalog=catalog,
-                     trajectory=trajectory)
-        document = json.loads(trajectory.read_text())
-        # Legacy history survives the migration; the new sample appends.
-        assert [r["benchmark"] for r in document["runs"]] == \
-            ["sweep", "ensemble"]
-        assert document["runs"][1]["speedup"] == 6.5
-
-    def test_rows_carry_provenance_and_reimport_is_idempotent(
-            self, tmp_path):
-        trajectory = tmp_path / "BENCH_sweep.json"
-        catalog = Catalog(tmp_path / "store")
-        for _ in range(2):
-            record_bench("sweep", {"speedup": 9.0}, catalog=catalog,
-                         trajectory=trajectory)
+    def test_appends_stamped_rows_after_the_history(self, trajectory):
+        history = [
+            {"benchmark": "sweep", "speedup": 9.0},
+            {"benchmark": "ensemble", "speedup": 5.0,
+             "host": {"cpus": 1, "python": "3.11.7"}},
+        ]
+        trajectory.write_text(json.dumps({"runs": history}, indent=2))
+        record_bench("fleet", {"speedup": 4.5})
+        record_bench("fastpath_1m", {"codegen_speedup": 12.0,
+                                     "compile_s": 0.25})
         runs = json.loads(trajectory.read_text())["runs"]
-        records = catalog.bench_records()
-        assert len(runs) == len(records) == 2
-        for run, record in zip(runs, records):
-            assert run["code_version"] == record.code_version \
-                == code_version()
-            assert run["created_at"] == record.created_at != ""
-        assert import_trajectory(catalog, trajectory) == 0
-        assert len(catalog.bench_records()) == 2
+        assert runs[:2] == history
+        assert [run["benchmark"] for run in runs[2:]] == \
+            ["fleet", "fastpath_1m"]
+        assert runs[2]["speedup"] == 4.5
+        assert runs[3]["codegen_speedup"] == 12.0
+        assert runs[3]["compile_s"] == 0.25
+        for run in runs[2:]:
+            assert run["code_version"] == code_version() != ""
+            assert run["created_at"] != ""
+            assert run["host"]["cpus"] >= 1
 
-    def test_write_trajectory_round_trips(self, tmp_path):
-        catalog = Catalog(tmp_path / "store")
-        catalog.append_bench("sweep", {"speedup": 3.0})
-        out = tmp_path / "out.json"
-        document = write_trajectory(catalog, out)
-        assert json.loads(out.read_text()) == document
+    def test_absent_file_becomes_a_one_row_document(self, trajectory):
+        record_bench("sweep", {"speedup": 9.0})
+        (run,) = json.loads(trajectory.read_text())["runs"]
+        assert run["benchmark"] == "sweep"
+        assert run["speedup"] == 9.0
 
-    def test_import_merges_into_a_non_empty_store(self, tmp_path):
-        """Regression: a fresh store that records one new sample before
-        touching the legacy file must still absorb the legacy history.
-        The old all-or-nothing guard no-op'd as soon as *any* bench
-        record existed, so a fresh clone's first benchmark run
-        regenerated BENCH_sweep.json with only itself in it."""
-        legacy = tmp_path / "BENCH_sweep.json"
-        legacy.write_text(json.dumps(
-            {"runs": [{"benchmark": "sweep", "speedup": 9.0},
-                      {"benchmark": "ensemble", "speedup": 5.0}]}))
-        catalog = Catalog(tmp_path / "store")
-        catalog.append_bench("fleet", {"speedup": 4.5})
-        assert import_trajectory(catalog, legacy) == 2
-        # Per-record idempotence: nothing re-imports on a second pass.
-        assert import_trajectory(catalog, legacy) == 0
-        names = [r["benchmark"] for r in bench_trajectory(catalog)["runs"]]
-        assert sorted(names) == ["ensemble", "fleet", "sweep"]
+    @pytest.mark.parametrize("text", [
+        json.dumps({"runs": [{"benchmark": "sweep", "speedup": 9.0}]},
+                   indent=2)[:30],
+        json.dumps({"rows": []}),
+    ], ids=["torn", "no-runs-list"])
+    def test_unreadable_file_raises_and_stays_untouched(self, trajectory,
+                                                        text):
+        trajectory.write_text(text)
+        before = trajectory.read_bytes()
+        with pytest.raises(ValueError, match="benchmark trajectory"):
+            record_bench("sweep", {"speedup": 9.0})
+        assert trajectory.read_bytes() == before
 
-    def test_import_keeps_duplicate_samples_distinct(self, tmp_path):
-        """Two identical legacy samples are two records (a multiset
-        match), and both survive repeated imports without multiplying."""
-        legacy = tmp_path / "BENCH_sweep.json"
-        legacy.write_text(json.dumps(
-            {"runs": [{"benchmark": "sweep", "speedup": 9.0},
-                      {"benchmark": "sweep", "speedup": 9.0}]}))
-        catalog = Catalog(tmp_path / "store")
-        assert import_trajectory(catalog, legacy) == 2
-        assert import_trajectory(catalog, legacy) == 0
-        assert len(catalog.bench_records()) == 2
+    def test_interrupted_write_keeps_the_previous_bytes(self, trajectory,
+                                                        monkeypatch):
+        record_bench("sweep", {"speedup": 9.0})
+        before = trajectory.read_bytes()
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", _crash)
+            with pytest.raises(OSError, match="simulated crash"):
+                record_bench("sweep", {"speedup": 10.0})
+        assert trajectory.read_bytes() == before
+        assert list(trajectory.parent.iterdir()) == [trajectory]
 
-    def test_write_trajectory_refuses_an_empty_document(self, tmp_path):
-        """require_runs guards CI regeneration: an empty store must not
-        silently replace the benchmark history with {"runs": []}."""
-        catalog = Catalog(tmp_path / "store")
-        out = tmp_path / "out.json"
-        with pytest.raises(RuntimeError, match="trajectory is empty"):
-            write_trajectory(catalog, out, require_runs=True)
-        assert not out.exists()
-        # Without the guard the (explicitly requested) empty document
-        # still writes — `catalog bench` without -o keeps working.
-        assert write_trajectory(catalog, out) == {"runs": []}
+    def test_payload_cannot_overwrite_the_stamps(self, trajectory):
+        record_bench("sweep", {"code_version": "forged", "speedup": 9.0})
+        (run,) = json.loads(trajectory.read_text())["runs"]
+        assert run["code_version"] == code_version()

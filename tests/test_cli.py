@@ -580,63 +580,6 @@ class TestCatalogCLI:
         assert main(["catalog", "ls", store]) == 0
         assert "no run records" in capsys.readouterr().out
 
-    def test_bench_emits_the_trajectory_document(self, tmp_path, capsys,
-                                                 monkeypatch):
-        # Point the legacy-trajectory lookup away from the repo's real
-        # BENCH_sweep.json so the regenerated document is exactly the
-        # store's contents.
-        monkeypatch.setenv("BENCH_SWEEP_JSON",
-                           str(tmp_path / "no-legacy.json"))
-        store = str(tmp_path / "store")
-        from repro.catalog import Catalog
-        record = Catalog(store).append_bench("sweep", {"speedup": 12.0})
-        assert main(["catalog", "bench", store]) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["runs"] == [{"benchmark": "sweep",
-                                     "code_version": record.code_version,
-                                     "created_at": record.created_at,
-                                     "speedup": 12.0}]
-        out_file = tmp_path / "BENCH_sweep.json"
-        assert main(["catalog", "bench", store, "-o",
-                     str(out_file)]) == 0
-        assert json.loads(out_file.read_text()) == document
-
-    def test_bench_seeds_the_store_from_the_legacy_file(self, tmp_path,
-                                                        capsys,
-                                                        monkeypatch):
-        """Regression: regenerating BENCH_sweep.json on a fresh clone
-        (empty store, committed trajectory) must import the legacy
-        history instead of truncating the file to []."""
-        legacy = tmp_path / "legacy.json"
-        legacy.write_text(json.dumps(
-            {"runs": [{"benchmark": "sweep", "speedup": 12.0}]}))
-        monkeypatch.setenv("BENCH_SWEEP_JSON", str(legacy))
-        store = str(tmp_path / "store")
-        out_file = tmp_path / "out.json"
-        assert main(["catalog", "bench", store, "-o",
-                     str(out_file)]) == 0
-        out = capsys.readouterr().out
-        assert "imported 1 legacy sample(s)" in out
-        assert json.loads(out_file.read_text())["runs"] == \
-            [{"benchmark": "sweep", "code_version": "", "created_at": "",
-              "speedup": 12.0}]
-        # Idempotent: a second regeneration imports nothing new.
-        assert main(["catalog", "bench", store, "-o",
-                     str(out_file)]) == 0
-        assert "imported" not in capsys.readouterr().out
-
-    def test_bench_refuses_to_write_an_empty_trajectory(self, tmp_path,
-                                                        capsys,
-                                                        monkeypatch):
-        monkeypatch.setenv("BENCH_SWEEP_JSON",
-                           str(tmp_path / "no-legacy.json"))
-        store = str(tmp_path / "empty-store")
-        out_file = tmp_path / "out.json"
-        assert main(["catalog", "bench", store, "-o",
-                     str(out_file)]) == 1
-        assert "empty" in capsys.readouterr().err
-        assert not out_file.exists()
-
     def test_unreadable_catalog_is_a_clean_error(self, tmp_path, capsys):
         root = tmp_path / "broken"
         root.mkdir()
