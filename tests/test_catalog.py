@@ -14,6 +14,7 @@ import dataclasses
 import json
 import os
 import time
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.catalog import (
     Manifest,
     ManifestRecord,
     code_version,
+    default_trajectory_path,
     record_bench,
     scenario_cache_key,
     spec_hash,
@@ -283,6 +285,26 @@ class TestManifest:
         reloaded = Manifest(path)
         assert [r.run_id for r in reloaded] == ["r1", "r2"]
         assert reloaded.lookup("00" * 32, 0, "v1") is None
+
+    def test_only_run_lines_load(self, tmp_path):
+        """A line whose ``kind`` is not ``"run"`` is an old store's
+        benchmark sample: skipped, not counted corrupt, and gone after a
+        rewrite. Lines with ``kind="run"`` or no ``kind`` load."""
+        path = tmp_path / "manifest.jsonl"
+        run = ManifestRecord(run_id="r1", spec_hash="ab" * 32, seed=1,
+                             code_version="v1").to_dict()
+        bench = {"run_id": "bench-000000-sweep", "kind": "bench",
+                 "name": "sweep", "payload": {"speedup": 9.0}}
+        lines = [dict(run, kind="run"), bench,
+                 dict(run, run_id="r2", seed=2)]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        manifest = Manifest(path)
+        assert [r.run_id for r in manifest] == ["r1", "r2"]
+        assert manifest.corrupt_lines == 0
+        assert manifest.lookup("ab" * 32, 2, "v1").run_id == "r2"
+        manifest.rewrite(manifest.records)
+        assert "bench" not in path.read_text()
+        assert [r.run_id for r in Manifest(path)] == ["r1", "r2"]
 
 
 # ---------------------------------------------------------------------------
@@ -937,7 +959,8 @@ class TestRecordBench:
         json.dumps({"runs": [{"benchmark": "sweep", "speedup": 9.0}]},
                    indent=2)[:30],
         json.dumps({"rows": []}),
-    ], ids=["torn", "no-runs-list"])
+        json.dumps([{"benchmark": "sweep", "speedup": 9.0}]),
+    ], ids=["torn", "no-runs-list", "not-an-object"])
     def test_unreadable_file_raises_and_stays_untouched(self, trajectory,
                                                         text):
         trajectory.write_text(text)
@@ -961,3 +984,68 @@ class TestRecordBench:
         record_bench("sweep", {"code_version": "forged", "speedup": 9.0})
         (run,) = json.loads(trajectory.read_text())["runs"]
         assert run["code_version"] == code_version()
+
+    def test_identical_samples_append_as_distinct_rows(self, trajectory):
+        record_bench("sweep", {"speedup": 9.0})
+        record_bench("sweep", {"speedup": 9.0})
+        runs = json.loads(trajectory.read_text())["runs"]
+        assert [(run["benchmark"], run["speedup"]) for run in runs] == \
+            [("sweep", 9.0), ("sweep", 9.0)]
+
+    def test_env_names_the_file_else_the_repo_file(self, trajectory,
+                                                    monkeypatch):
+        assert default_trajectory_path() == trajectory
+        monkeypatch.delenv("BENCH_SWEEP_JSON")
+        committed = default_trajectory_path()
+        assert committed.name == "BENCH_sweep.json"
+        assert (committed.parent / "src" / "repro" / "catalog"
+                / "bench.py").is_file()
+
+    def test_append_to_the_committed_file_only_adds_lines(self, trajectory,
+                                                          monkeypatch):
+        """The tracked file is written in the format ``record_bench``
+        writes, so appending a sample leaves every committed line as it
+        was: the history's diff is the new row alone."""
+        with monkeypatch.context() as patch:
+            patch.delenv("BENCH_SWEEP_JSON")
+            committed = default_trajectory_path().read_text()
+        trajectory.write_text(committed)
+        record_bench("sweep", {"speedup": 9.0})
+        text = trajectory.read_text()
+        head, closing = committed.rsplit("\n  ]\n}", 1)
+        assert closing == "\n"
+        assert text.startswith(head + ",\n")
+        assert text.endswith("\n  ]\n}\n")
+        runs = json.loads(text)["runs"]
+        assert runs[:-1] == json.loads(committed)["runs"]
+        assert runs[-1]["benchmark"] == "sweep"
+
+    def test_host_stamp_has_the_committed_keys(self, trajectory,
+                                                monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.delenv("BENCH_SWEEP_JSON")
+            history = json.loads(default_trajectory_path().read_text())
+        stamped = {frozenset(run["host"]) for run in history["runs"]
+                   if "host" in run}
+        record_bench("sweep", {"speedup": 9.0})
+        (run,) = json.loads(trajectory.read_text())["runs"]
+        assert stamped == {frozenset(run["host"])}
+        assert set(run["host"]) == {"python", "numpy", "platform",
+                                    "machine", "cpus", "affinity_cpus"}
+        assert 1 <= run["host"]["affinity_cpus"] <= run["host"]["cpus"]
+
+    def test_affinity_falls_back_to_cpus(self, trajectory, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        record_bench("sweep", {"speedup": 9.0})
+        (run,) = json.loads(trajectory.read_text())["runs"]
+        assert run["host"]["affinity_cpus"] == run["host"]["cpus"] \
+            == os.cpu_count()
+
+    def test_created_at_is_utc_to_the_second(self, trajectory):
+        record_bench("sweep", {"speedup": 9.0})
+        (run,) = json.loads(trajectory.read_text())["runs"]
+        stamp = datetime.fromisoformat(run["created_at"])
+        assert stamp.utcoffset() == timedelta(0)
+        assert stamp.microsecond == 0
+        assert abs(datetime.now(timezone.utc) - stamp) < timedelta(
+            minutes=5)
