@@ -14,9 +14,12 @@ carry their own interface circuit and datasheet).
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..core.system import MultiSourceSystem
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["architecture_graph", "render_architecture"]
 
@@ -28,6 +31,8 @@ def architecture_graph(system: MultiSourceSystem) -> "nx.DiGraph":
     output_conditioner, embedded_device, mcu, bus, module_slot}.
     Edge attribute: ``kind`` in {power, data}.
     """
+    import networkx as nx  # only figure extraction needs it
+
     graph = nx.DiGraph(name=system.architecture.name)
 
     graph.add_node("embedded-device", role="embedded_device",

@@ -70,8 +70,9 @@ class Manifest:
     The whole file loads at construction (runs are thousands, not
     millions — one line each) into an ordered list plus a dedup index;
     :meth:`append` keeps file and memory in sync with one ``O(1)``
-    append, never a rewrite. Lines that fail to parse are skipped with
-    a count (:attr:`corrupt_lines`) instead of poisoning the catalog —
+    append, never a rewrite. Lines that fail to parse, or parse to
+    something other than a JSON object, are skipped with a count
+    (:attr:`corrupt_lines`) instead of poisoning the catalog —
     a crash mid-append leaves at most one torn trailing line.
     """
 
@@ -88,6 +89,8 @@ class Manifest:
                         continue
                     try:
                         data = json.loads(line)
+                        if not isinstance(data, dict):
+                            raise TypeError("not a JSON object")
                         if data.get("kind", "run") != "run":
                             continue  # an old store's benchmark sample
                         record = ManifestRecord.from_dict(data)

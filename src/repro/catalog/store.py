@@ -121,9 +121,10 @@ class Catalog:
         marker = self.root / "catalog.json"
         if marker.exists():
             try:
-                found = json.loads(marker.read_text()).get("layout")
+                data = json.loads(marker.read_text())
             except (OSError, ValueError):
-                found = None
+                data = None
+            found = data.get("layout") if isinstance(data, dict) else None
             if found != LAYOUT_VERSION:
                 raise CatalogError(
                     f"{self.root} holds catalog layout {found!r}; this "
@@ -253,6 +254,8 @@ class Catalog:
         try:
             data = json.loads(self._stats_path.read_text())
         except (OSError, ValueError):
+            return {}
+        if not isinstance(data, dict):
             return {}
         hits = data.get("hits", {})
         return hits if isinstance(hits, dict) else {}

@@ -466,6 +466,49 @@ class LinearRegulator(Converter):
             return 0.0
         return min(1.0, v_out / v_in)
 
+    def lower_input_kernel(self, dt: float):
+        """The damped fixed-point inversion with the efficiency
+        evaluated once per call.
+
+        :meth:`efficiency` reads ``p_in`` only through its ``p_in <= 0``
+        test, and every iterate of :meth:`Converter.input_power` is
+        positive or NaN: it starts at ``p_out`` and averages in
+        ``p_out / eff >= p_out``. So every iteration evaluates the same
+        efficiency and the same ``p_new``; the iteration itself is kept
+        operator for operator, and so is its result.
+        """
+        from ..simulation.kernel.protocol import overridden_methods
+        if overridden_methods(self, LinearRegulator,
+                              "efficiency", "input_power"):
+            return self.input_power
+        dropout = self.dropout_voltage
+        inf = float("inf")
+
+        def input_power(p_out: float, v_in: float, v_out: float) -> float:
+            if p_out < 0:
+                raise ValueError(f"p_out must be non-negative, got {p_out}")
+            if p_out == 0.0:
+                return 0.0
+            if v_in <= 0 or v_out <= 0 or v_in < v_out + dropout:
+                return inf
+            eff = v_out / v_in
+            if not eff < 1.0:  # min(1.0, eff), NaN included
+                eff = 1.0
+            if eff <= 0.0:
+                return inf
+            p_new = p_out / eff
+            p_in = p_out
+            for _ in range(30):
+                diff = p_new - p_in
+                if diff < 0.0:
+                    diff = -diff
+                if diff < 1e-12 * (p_in if p_in > 1.0 else 1.0):
+                    return p_new
+                p_in = 0.5 * (p_in + p_new)
+            return p_in
+
+        return input_power
+
     # ------------------------------------------------------------------
     # Batched lowering (see repro.simulation.kernel.batched)
     # ------------------------------------------------------------------

@@ -348,7 +348,10 @@ class PerturbObserve(MPPTracker):
         and :meth:`step` can take turns on one tracker. Its update loop
         is :func:`perturb_observe_updates`, which skips the repeats of an
         exact limit cycle for library harvesters only (pure ``power_at``);
-        a user harvester gets every update. The closure twins the
+        a user harvester gets every update. The loop queries the
+        ``power_at`` of :meth:`~repro.harvesters.base.Harvester.lower_iv`,
+        built once per step, so a library model evaluates its per-ambient
+        physics once rather than once per update. The closure twins the
         :meth:`step` defined here, so when a subclass overrides it or a
         wrapper replaces it on the class (an instrumenting tracer, say),
         the lowering is the bound ``step`` that is actually installed.
@@ -381,7 +384,7 @@ class PerturbObserve(MPPTracker):
                     memo_pure = is_library_harvester(harvester)
                 voltage, tracker._last_power, tracker._direction = \
                     perturb_observe_updates(
-                        harvester.power_at, ambient, voc,
+                        harvester.lower_iv(ambient)[0], ambient, voc,
                         tracker.step_fraction, voltage, tracker._last_power,
                         tracker._direction, min(updates, 64), memo_pure)
             tracker._voltage = voltage
@@ -704,9 +707,11 @@ class IncrementalConductance(MPPTracker):
 
         The IncCond twin of :meth:`PerturbObserve.lower_kernel`: the
         closure reads and writes the tracker's own attributes, its update
-        loop is :func:`incremental_conductance_updates`, which skips the
-        repeats of an exact limit cycle for library harvesters only, and
-        a ``step`` that a subclass or a wrapper on the class installs in
+        loop is :func:`incremental_conductance_updates` over the
+        per-step ``current_at`` of
+        :meth:`~repro.harvesters.base.Harvester.lower_iv`, which skips
+        the repeats of an exact limit cycle for library harvesters only,
+        and a ``step`` that a subclass or a wrapper on the class installs in
         place of the one defined here is the lowering instead.
         """
         from ..simulation.kernel.protocol import is_library_harvester
@@ -735,7 +740,7 @@ class IncrementalConductance(MPPTracker):
                     memo_harvester = harvester
                     memo_pure = is_library_harvester(harvester)
                 voltage = incremental_conductance_updates(
-                    harvester.current_at, ambient, voc,
+                    harvester.lower_iv(ambient)[1], ambient, voc,
                     tracker.step_fraction, tracker.probe_fraction, voltage,
                     min(updates, 64), memo_pure)
             tracker._voltage = voltage

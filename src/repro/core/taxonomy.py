@@ -61,8 +61,7 @@ class HardwareFlexibility(enum.Enum):
     def __lt__(self, other):
         if not isinstance(other, HardwareFlexibility):
             return NotImplemented
-        order = list(type(self))
-        return order.index(self) < order.index(other)
+        return _RANK[self] < _RANK[other]
 
     def __le__(self, other):
         return self == other or self < other
@@ -79,8 +78,7 @@ class MonitoringCapability(enum.Enum):
     def __lt__(self, other):
         if not isinstance(other, MonitoringCapability):
             return NotImplemented
-        order = list(type(self))
-        return order.index(self) < order.index(other)
+        return _RANK[self] < _RANK[other]
 
     def __le__(self, other):
         return self == other or self < other
@@ -94,6 +92,12 @@ class MonitoringCapability(enum.Enum):
         if not isinstance(other, MonitoringCapability):
             return NotImplemented
         return other < self
+
+
+#: Declaration rank of each member of the two ordered ladders.
+_RANK = {member: rank
+         for ladder in (HardwareFlexibility, MonitoringCapability)
+         for rank, member in enumerate(ladder)}
 
 
 class ControlCapability(enum.Enum):

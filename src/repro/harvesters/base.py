@@ -126,6 +126,21 @@ class Harvester(abc.ABC):
         return self.mpp(ambient).power
 
     # ------------------------------------------------------------------
+    # Per-ambient I-V lowering (see repro.simulation.kernel)
+    # ------------------------------------------------------------------
+    def lower_iv(self, ambient: float) -> tuple:
+        """``(power_at, current_at)`` for one ambient value.
+
+        Each is a ``(voltage, ambient) -> float`` callable equal to the
+        method of that name at this ``ambient``. A hill climb queries
+        one ambient value up to 64 times per step, so library models
+        return closures that evaluate the ambient-only physics once (the
+        closures ignore the ambient they are passed). The base class
+        returns the bound methods, which are exact for every harvester.
+        """
+        return self.power_at, self.current_at
+
+    # ------------------------------------------------------------------
     # Batched lowering (see repro.simulation.kernel.batched)
     # ------------------------------------------------------------------
     def lower_batched(self, siblings):
@@ -143,6 +158,39 @@ class Harvester(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r}, source={self.source_type.value})"
+
+
+#: The ``power_at`` every library I-V lowering inlines.
+_POWER_AT = Harvester.power_at
+
+
+def inlines_library_iv(harvester, current_at) -> bool:
+    """Whether a :meth:`Harvester.lower_iv` may inline ``harvester``'s
+    I-V methods.
+
+    It may for a library harvester whose class resolves ``current_at``
+    to the function ``current_at`` and ``power_at`` to
+    :meth:`Harvester.power_at`, by identity. A subclass override, a user
+    class, or a wrapper installed on a class (an instrumenting tracer,
+    say) keeps every call. The module test is
+    :func:`~repro.simulation.kernel.protocol.is_library_harvester`'s,
+    written out: that module cannot be imported here at load time, and
+    importing it per call costs more than the rest of the lowering.
+    """
+    cls = type(harvester)
+    return (cls.current_at is current_at and cls.power_at is _POWER_AT
+            and cls.__module__.startswith("repro.harvesters"))
+
+
+def lowered_power_at(current_at):
+    """:meth:`Harvester.power_at` over a lowered ``current_at``,
+    expression for expression."""
+    def power_at(voltage: float, ambient: float) -> float:
+        if voltage < 0:
+            raise ValueError(f"voltage must be non-negative, got {voltage}")
+        return voltage * current_at(voltage, ambient)
+
+    return power_at
 
 
 class TheveninHarvester(Harvester):
@@ -225,6 +273,41 @@ class TheveninHarvester(Harvester):
         # at the capped power.
         return OperatingPoint(v, ceiling / v, ceiling)
 
+    def lower_iv(self, ambient: float) -> tuple:
+        """Per-ambient closures with the Thevenin pair and the power
+        ceiling evaluated once.
+
+        The closures repeat :meth:`current_at` and :meth:`power_at`
+        expression for expression, raises included, so they are bitwise
+        the methods at this ``ambient``. The key of
+        :meth:`_thevenin_cached` holds ``current_frequency``, so a retune
+        takes effect at the next lowering. A class that does not keep
+        the library's I-V methods gets the bound ones
+        (:func:`inlines_library_iv`).
+        """
+        if not inlines_library_iv(self, _THEVENIN_CURRENT_AT):
+            return self.power_at, self.current_at
+        voc, r_int = self._thevenin_cached(ambient)
+        ceiling = self.power_ceiling(ambient)
+
+        def current_at(voltage: float, ambient: float) -> float:
+            if voltage < 0:
+                raise ValueError(
+                    f"voltage must be non-negative, got {voltage}")
+            if voc <= 0:
+                return 0.0
+            if r_int <= 0:
+                raise ValueError(
+                    f"internal resistance must be positive, got {r_int}")
+            i = (voc - voltage) / r_int
+            if i <= 0:
+                return 0.0
+            if voltage > 0 and voltage * i > ceiling:
+                i = ceiling / voltage
+            return i
+
+        return lowered_power_at(current_at), current_at
+
     # ------------------------------------------------------------------
     # Batched lowering (see repro.simulation.kernel.batched)
     # ------------------------------------------------------------------
@@ -258,6 +341,10 @@ class TheveninHarvester(Harvester):
     def _batch_power_ceiling(self, siblings, values):
         """Vectorized :meth:`power_ceiling`; ``None`` = uncapped (inf)."""
         return None
+
+
+#: The ``current_at`` :meth:`TheveninHarvester.lower_iv` inlines.
+_THEVENIN_CURRENT_AT = TheveninHarvester.current_at
 
 
 class _TheveninSurfaceBuilder:

@@ -20,7 +20,12 @@ from ..spec.registry import register
 import math
 
 from ..environment.ambient import SourceType
-from .base import Harvester, OperatingPoint
+from .base import (
+    Harvester,
+    OperatingPoint,
+    inlines_library_iv,
+    lowered_power_at,
+)
 
 __all__ = ["PhotovoltaicCell"]
 
@@ -139,6 +144,36 @@ class PhotovoltaicCell(Harvester):
         i = iph - self.i0 * math.expm1(arg)
         return max(0.0, i)
 
+    def lower_iv(self, ambient: float) -> tuple:
+        """Per-ambient closures with the photocurrent, ``_nvt`` and
+        ``i0`` evaluated once.
+
+        The closures repeat :meth:`current_at` and :meth:`power_at`
+        expression for expression, raises included, so they are bitwise
+        the methods at this ``ambient``; an irradiance the methods refuse
+        raises here. A class that does not keep the library's I-V
+        methods gets the bound ones (:func:`.base.inlines_library_iv`).
+        """
+        if not inlines_library_iv(self, _PV_CURRENT_AT):
+            return self.power_at, self.current_at
+        iph = self.photocurrent(ambient)
+        nvt = self._nvt
+        i0 = self.i0
+
+        def current_at(voltage: float, ambient: float) -> float:
+            if voltage < 0:
+                raise ValueError(
+                    f"voltage must be non-negative, got {voltage}")
+            if iph <= 0:
+                return 0.0
+            arg = voltage / nvt
+            if arg > 500.0:
+                return 0.0
+            i = iph - i0 * math.expm1(arg)
+            return max(0.0, i)
+
+        return lowered_power_at(current_at), current_at
+
     def mpp(self, ambient: float) -> OperatingPoint:
         """Analytic-ish MPP via Newton iteration on d(VI)/dV = 0.
 
@@ -200,6 +235,10 @@ class PhotovoltaicCell(Harvester):
                 harvester, PhotovoltaicCell, "current_at", "power_at",
                 "mpp", "max_power", "open_circuit_voltage", "photocurrent")
         return _PVSurfaceBuilder(siblings)
+
+
+#: The ``current_at`` :meth:`PhotovoltaicCell.lower_iv` inlines.
+_PV_CURRENT_AT = PhotovoltaicCell.current_at
 
 
 class _PVSurfaceBuilder:

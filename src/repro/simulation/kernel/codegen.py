@@ -14,7 +14,9 @@ leaf harvester physics (``open_circuit_voltage`` / ``power_at`` /
 ``max_power``) remains as bound-method calls, behind pure single-slot
 memos keyed on the ambient value, and the P&O control updates go
 through the scalar kernel's limit-cycle fast-forward,
-:func:`~repro.conditioning.mppt.perturb_observe_updates`.
+:func:`~repro.conditioning.mppt.perturb_observe_updates`, over the
+``power_at`` of the harvester's per-step
+:meth:`~repro.harvesters.base.Harvester.lower_iv`.
 
 The engine offers every compiled plan to :func:`prepare_codegen` under
 ``fast="auto"`` and runs the fused step function when it accepts the
@@ -406,8 +408,9 @@ def _emit_fused(c) -> str:
     All mutable state lives in plain Python locals for the whole
     segment; component objects are read once in the prologue and
     written back once after the loop. Only the leaf harvester physics
-    (``open_circuit_voltage`` / ``power_at`` / ``max_power``) stays as
-    bound-method calls, behind single-slot memos that are sound because
+    (``open_circuit_voltage`` / ``power_at`` / ``max_power``, and the
+    P&O updates' per-step ``lower_iv``) stays as calls, behind
+    single-slot memos that are sound because
     library harvesters are pure in ``(voltage, ambient)`` — the same
     purity assumption the scalar kernel's MPP memo and the batched
     tier's I-V surfaces already rely on. The buck-boost forward curve
@@ -439,6 +442,7 @@ def _emit_fused(c) -> str:
         A(f"    ch_{k} = system.channels[{k}]")
         A(f"    h_voc_{k} = ch_{k}.harvester.open_circuit_voltage")
         A(f"    h_pat_{k} = ch_{k}.harvester.power_at")
+        A(f"    h_iv_{k} = ch_{k}.harvester.lower_iv")
         A(f"    h_max_{k} = ch_{k}.harvester.max_power")
         A(f"    tr_{k} = ch_{k}.conditioner.tracker")
         if ch["has_col"]:
@@ -524,8 +528,8 @@ def _emit_fused(c) -> str:
         A("                if updates > 64:")
         A("                    updates = 64")
         A(f"                tv_{k}, tlp_{k}, tdir_{k} = po_updates(")
-        A(f"                    h_pat_{k}, av, voc, {ch['frac']}, tv_{k}, "
-          f"tlp_{k}, tdir_{k}, updates)")
+        A(f"                    h_iv_{k}(av)[0], av, voc, {ch['frac']}, "
+          f"tv_{k}, tlp_{k}, tdir_{k}, updates)")
         A(f"            tvolt_{k} = tv_{k}")
         # Single-slot MPP memo (the scalar kernel's, flag-based).
         A(f"        if mhas_{k} and av == mkey_{k}:")

@@ -237,10 +237,10 @@ class TestManifest:
         good = ManifestRecord(run_id="r1", spec_hash="ab" * 32, seed=1,
                               code_version="v1")
         path.write_text(json.dumps(good.to_dict()) + "\n"
-                        + "{torn line\n")
+                        + "{torn line\n" + "[1]\n" + "null\n" + '"run"\n')
         manifest = Manifest(path)
         assert len(manifest) == 1
-        assert manifest.corrupt_lines == 1
+        assert manifest.corrupt_lines == 4
         assert manifest.lookup("ab" * 32, 1, "v1").run_id == "r1"
 
     def test_record_appended_after_torn_line_survives_reload(self, tmp_path):
@@ -384,11 +384,23 @@ class TestCatalogStore:
         assert_rows_equal([fresh.restore(fresh.lookup(key))], [truth])
 
     def test_layout_mismatch_refused(self, tmp_path):
-        root = tmp_path / "store"
-        root.mkdir()
-        (root / "catalog.json").write_text('{"layout": 99}\n')
-        with pytest.raises(CatalogError, match="layout"):
-            Catalog(root)
+        # A marker that is not a JSON object reads as a wrong layout.
+        for k, marker in enumerate(['{"layout": 99}', "[1]", "null",
+                                    "{torn"]):
+            root = tmp_path / f"store{k}"
+            root.mkdir()
+            (root / "catalog.json").write_text(marker + "\n")
+            with pytest.raises(CatalogError, match="layout"):
+                Catalog(root)
+
+    @pytest.mark.parametrize("stats", ["[]", "[1]", "3", "{torn"])
+    def test_unreadable_stats_read_as_no_hits(self, tmp_path, stats):
+        catalog = Catalog(tmp_path / "store")
+        catalog._stats_path.write_text(stats + "\n")
+        assert catalog.hit_counts() == {}
+        assert catalog.total_hits() == 0
+        catalog.record_hits(["a"])
+        assert catalog.hit_counts() == {"a": 1}
 
     def test_hit_counters_persist(self, tmp_path):
         catalog = Catalog(tmp_path / "store")

@@ -55,6 +55,17 @@ class TestTaxonomy:
         assert HardwareFlexibility.FIXED < \
             HardwareFlexibility.COMPLETELY_FLEXIBLE
 
+    @pytest.mark.parametrize("ladder", [HardwareFlexibility,
+                                        MonitoringCapability])
+    def test_order_is_declaration_order_for_every_pair(self, ladder):
+        members = list(ladder)
+        for i, a in enumerate(members):
+            for j, b in enumerate(members):
+                assert (a < b) is (i < j), (a, b)
+                assert (a <= b) is (i <= j), (a, b)
+                assert (a >= b) is (i >= j), (a, b)
+                assert (a > b) is (i > j), (a, b)
+
     def test_quiescent_display(self):
         arch = ArchitectureDescriptor(name="x", quiescent_current_a=5e-6)
         assert arch.quiescent_display == "5 uA"

@@ -1,8 +1,14 @@
 """The headline reproduction tests: Table I and Figures 1-2 (T1, F1, F2)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import networkx as nx
 import pytest
 
+import repro
 from repro.analysis import (
     PAPER_TABLE_I,
     architecture_graph,
@@ -185,3 +191,17 @@ class TestFigure2:
         assert "Plug-and-Play" in text
         assert "slot[" in text
         assert "LinearRegulator" in text
+
+
+def test_import_leaves_networkx_unloaded():
+    """Only :func:`architecture_graph` needs networkx, and it imports it
+    itself, so ``import repro`` in a fresh interpreter does not load it."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                           if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro; print('networkx' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+        text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "False"
