@@ -59,6 +59,12 @@ class ManifestRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ManifestRecord":
+        """The record a manifest line holds; ``TypeError`` when its
+        result row's ``metrics``, ``params`` or ``extras`` is not a JSON
+        object (queries and restores read them as dicts)."""
+        for key in ("metrics", "params", "extras"):
+            if not isinstance(data.get(key, {}), dict):
+                raise TypeError(f"{key} is not a JSON object")
         known = {f.name for f in fields(cls)}
         return cls(**{key: value for key, value in data.items()
                       if key in known})
@@ -71,8 +77,9 @@ class Manifest:
     millions — one line each) into an ordered list plus a dedup index;
     :meth:`append` keeps file and memory in sync with one ``O(1)``
     append, never a rewrite. Lines that fail to parse, or parse to
-    something other than a JSON object, are skipped with a count
-    (:attr:`corrupt_lines`) instead of poisoning the catalog —
+    something other than a JSON object, or hold a result row whose
+    ``metrics``, ``params`` or ``extras`` is not one, are skipped with
+    a count (:attr:`corrupt_lines`) instead of poisoning the catalog —
     a crash mid-append leaves at most one torn trailing line.
     """
 

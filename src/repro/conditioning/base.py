@@ -271,8 +271,8 @@ class OutputConditioner:
         The ``needed(demand_w, store_v)`` closure replicates
         :meth:`input_power_for` — brown-out window first, then the
         converter's inversion, which the converter itself lowers
-        (inlined fixed point for a buck-boost, identity for an ideal
-        stage, the bound method otherwise).
+        (inlined fixed point for a buck-boost, the bound method
+        otherwise).
         """
         from ..simulation.kernel.protocol import OutputLowering, \
             ensure_unmodified
@@ -286,15 +286,7 @@ class OutputConditioner:
         lower_conv = getattr(converter, "lower_input_kernel", None)
         converter_in = lower_conv(dt) if lower_conv is not None \
             else converter.input_power
-        conv_type = type(converter)
-        if conv_type is IdealConverter:
-            def needed(demand_w: float, store_v: float) -> float:
-                if demand_w == 0.0:
-                    return 0.0
-                if store_v < min_v:
-                    return inf
-                return demand_w  # unit efficiency: probe passes, p_in=p_out
-        elif conv_type is BuckBoostConverter:
+        if type(converter) is BuckBoostConverter:
             # The specialized inversion already tests the (run-constant)
             # voltage window, which is exactly can_supply's probe here.
             def needed(demand_w: float, store_v: float) -> float:
@@ -318,8 +310,8 @@ class OutputConditioner:
     # Batched lowering (see repro.simulation.kernel.batched)
     # ------------------------------------------------------------------
     def lower_batched(self, dt: float, siblings):
-        """Vectorized output stage mirroring :meth:`lower_kernel`'s three
-        converter specializations (ideal / buck-boost / generic probe)."""
+        """Vectorized output stage mirroring :meth:`lower_kernel`'s two
+        converter specializations (buck-boost / generic probe)."""
         import numpy as np
         from ..simulation.kernel.protocol import (
             LoweringUnsupported,
@@ -344,11 +336,7 @@ class OutputConditioner:
             raise LoweringUnsupported(
                 f"{conv_cls.__name__} has no batched input lowering")
         converter_in = lower_in(dt, converters)
-        if conv_cls is IdealConverter:
-            def needed(demand_w, store_v):
-                return np.where(demand_w == 0.0, 0.0,
-                                np.where(store_v < min_v, inf, demand_w))
-        elif conv_cls is BuckBoostConverter:
+        if conv_cls is BuckBoostConverter:
             def needed(demand_w, store_v):
                 return np.where(
                     demand_w == 0.0, 0.0,

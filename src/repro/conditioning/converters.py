@@ -96,8 +96,8 @@ class Converter(abc.ABC):
         """Forward-conversion closure ``(p_in, v_in, v_out) -> p_out``.
 
         The bound :meth:`output_power` is exact for every converter;
-        converter classes whose efficiency curve is cheap to inline
-        (ideal, buck-boost) return a specialized closure instead.
+        a converter class whose efficiency curve is cheap to inline
+        (buck-boost) returns a specialized closure instead.
         """
         return self.output_power
 
@@ -167,50 +167,17 @@ class IdealConverter(Converter):
     def efficiency(self, p_in: float, v_in: float, v_out: float) -> float:
         return 1.0
 
-    def lower_output_kernel(self, dt: float):
-        from ..simulation.kernel.protocol import overridden_methods
-
-        def output_power(p_in: float, v_in: float, v_out: float) -> float:
-            # p_in * 1.0 is p_in for every float.
-            return p_in
-
-        if overridden_methods(self, IdealConverter,
-                              "efficiency", "output_power"):
-            return self.output_power  # subclass physics: stay exact
-        return output_power
-
-    def lower_input_kernel(self, dt: float):
-        from ..simulation.kernel.protocol import overridden_methods
-
-        def input_power(p_out: float, v_in: float, v_out: float) -> float:
-            # The base fixed point converges on the first iteration at
-            # unit efficiency and returns p_out unchanged.
-            return p_out
-
-        if overridden_methods(self, IdealConverter,
-                              "efficiency", "input_power"):
-            return self.input_power
-        return input_power
-
     # ------------------------------------------------------------------
     # Batched lowering (see repro.simulation.kernel.batched)
     # ------------------------------------------------------------------
-    def lower_output_batched(self, dt: float, siblings):
-        _batch_guard(siblings, IdealConverter, "efficiency", "output_power")
+    def _batch_efficiency(self, siblings):
+        import numpy as np
+        _batch_guard(siblings, IdealConverter, "efficiency")
 
-        def output_power(p_in, v_in, v_out):
-            # p_in * 1.0 is p_in for every float.
-            return p_in
+        def efficiency(p_in, v_in, v_out):
+            return np.ones(np.broadcast(p_in, v_in, v_out).shape)
 
-        return output_power
-
-    def lower_input_batched(self, dt: float, siblings):
-        _batch_guard(siblings, IdealConverter, "efficiency", "input_power")
-
-        def input_power(p_out, v_in, v_out):
-            return p_out
-
-        return input_power
+        return efficiency
 
 
 @register("converter", "buck_boost")
@@ -379,29 +346,11 @@ class BoostConverter(BuckBoostConverter):
     # ------------------------------------------------------------------
     # Batched lowering (see repro.simulation.kernel.batched)
     # ------------------------------------------------------------------
-    def lower_output_batched(self, dt: float, siblings):
-        """Vectorized twin of the *bound* ``output_power`` path.
-
-        The scalar kernel runs Boost through the bound method (its
-        ``efficiency`` override defeats the buck-boost inlining), i.e.
-        ``p_in * self.efficiency(p_in, v_in, v_out)`` — replicated here
-        with the step-up direction test first.
-        """
-        import numpy as np
-        from ..simulation.kernel.batched import gather
-        _batch_guard(siblings, BoostConverter, "efficiency", "output_power")
-        peak = gather(siblings, lambda c: c.peak_efficiency)
-        overhead = gather(siblings, lambda c: c.overhead_power)
-        v_lo = gather(siblings, lambda c: c.min_input_voltage)
-        v_hi = gather(siblings, lambda c: c.max_input_voltage)
-
-        def output_power(p_in, v_in, v_out):
-            in_window = (v_lo <= v_in) & (v_in <= v_hi)
-            eff = np.where((v_out < v_in) | ~in_window | (p_in <= 0.0),
-                           0.0, peak * p_in / (p_in + overhead))
-            return np.where(p_in == 0.0, 0.0, p_in * eff)
-
-        return output_power
+    # The scalar kernel runs Boost through its bound methods (the
+    # efficiency override defeats the buck-boost inlining), so lockstep
+    # runs the generic stages over the efficiency below.
+    lower_output_batched = Converter.lower_output_batched
+    lower_input_batched = Converter.lower_input_batched
 
     def _batch_efficiency(self, siblings):
         import numpy as np
@@ -413,34 +362,13 @@ class BoostConverter(BuckBoostConverter):
         v_hi = gather(siblings, lambda c: c.max_input_voltage)
 
         def efficiency(p_in, v_in, v_out):
-            dead = (v_out < v_in) | (p_in <= 0.0) | (v_in < v_lo) | \
-                (v_in > v_hi)
+            # The window test as the scalar writes it, so a NaN v_in
+            # falls outside it.
+            dead = (v_out < v_in) | (p_in <= 0.0) | \
+                ~((v_lo <= v_in) & (v_in <= v_hi))
             return np.where(dead, 0.0, peak * p_in / (p_in + overhead))
 
         return efficiency
-
-    def lower_input_batched(self, dt: float, siblings):
-        """Boost as an *output* stage inverts through the generic fixed
-        point over its own efficiency (matching the bound
-        ``input_power`` the scalar kernel uses)."""
-        import numpy as np
-        from ..simulation.kernel.batched import damped_fixed_point, gather
-        _batch_guard(siblings, BoostConverter, "efficiency", "input_power")
-        peak = gather(siblings, lambda c: c.peak_efficiency)
-        overhead = gather(siblings, lambda c: c.overhead_power)
-        v_lo = gather(siblings, lambda c: c.min_input_voltage)
-        v_hi = gather(siblings, lambda c: c.max_input_voltage)
-
-        def input_power(p_out, v_in, v_out):
-            def eff(p):
-                return np.where((v_out < v_in) | (v_in < v_lo) |
-                                (v_in > v_hi) | (p <= 0.0),
-                                0.0, peak * p / (p + overhead))
-
-            core = damped_fixed_point(p_out, eff)
-            return np.where(p_out == 0.0, 0.0, core)
-
-        return input_power
 
 
 @register("converter", "linear_regulator")

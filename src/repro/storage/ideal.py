@@ -30,30 +30,3 @@ class IdealStorage(EnergyStorage):
 
     def voltage(self) -> float:
         return self.nominal_voltage if self.energy_j > 0 else 0.0
-
-    # ------------------------------------------------------------------
-    # Kernel lowering (see repro.simulation.kernel)
-    # ------------------------------------------------------------------
-    def _kernel_voltage(self, dt: float):
-        from ..simulation.kernel.protocol import ensure_unmodified
-        ensure_unmodified(self, IdealStorage, "voltage")
-        store = self
-        nominal = self.nominal_voltage
-
-        def voltage() -> float:
-            return nominal if store.energy_j > 0 else 0.0
-
-        return voltage
-
-    # ------------------------------------------------------------------
-    # Batched lowering (see repro.simulation.kernel.batched)
-    # ------------------------------------------------------------------
-    def _batch_voltage(self, dt: float, siblings, state):
-        import numpy as np
-        from ..simulation.kernel.batched import gather
-        nominal = gather(siblings, lambda s: s.nominal_voltage)
-
-        def voltage():
-            return np.where(state.energy > 0.0, nominal, 0.0)
-
-        return voltage

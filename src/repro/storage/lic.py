@@ -77,109 +77,11 @@ class LithiumIonCapacitor(EnergyStorage):
             return 0.0
         tau = self.leakage_resistance * self.capacitance_f
         v_new = max(self.min_voltage, v * math.exp(-dt / tau))
-        # v_new * v_new (not v_new ** 2): keeps this expression bitwise
-        # reproducible by the numpy-batched sweep kernel (libm pow and a
-        # product differ by 1 ULP on a small fraction of inputs).
+        # v_new * v_new, not v_new ** 2: libm pow and a product differ
+        # by 1 ULP on a small fraction of inputs, and results keep the
+        # product's bits.
         e_new = 0.5 * self.capacitance_f * (v_new * v_new -
                                             self.min_voltage ** 2)
         lost = max(0.0, self.energy_j - e_new)
         self.energy_j -= lost
         return lost
-
-    # ------------------------------------------------------------------
-    # Kernel lowering (see repro.simulation.kernel)
-    # ------------------------------------------------------------------
-    def _kernel_voltage(self, dt: float):
-        """Inlined :meth:`voltage`: E = C/2 (V^2 - Vmin^2) inverted."""
-        from ..simulation.kernel.protocol import ensure_unmodified
-        ensure_unmodified(self, LithiumIonCapacitor, "voltage")
-        store = self
-        cap = self.capacitance_f
-        min_v2 = self.min_voltage ** 2
-        max_v = self.max_voltage
-        sqrt = math.sqrt
-
-        def voltage() -> float:
-            v_sq = min_v2 + 2.0 * store.energy_j / cap
-            v = sqrt(v_sq)
-            return max_v if max_v <= v else v
-
-        return voltage
-
-    def _kernel_idle(self, dt: float):
-        """Inlined :meth:`step_idle` with the RC decay factor hoisted."""
-        from ..simulation.kernel.protocol import ensure_unmodified
-        ensure_unmodified(self, LithiumIonCapacitor, "step_idle", "voltage")
-        store = self
-        cap = self.capacitance_f
-        half_cap = 0.5 * cap
-        min_v = self.min_voltage
-        min_v2 = min_v ** 2
-        max_v = self.max_voltage
-        decay = math.exp(-dt / (self.leakage_resistance * cap))
-        sqrt = math.sqrt
-
-        def idle() -> None:
-            v_sq = min_v2 + 2.0 * store.energy_j / cap
-            v = sqrt(v_sq)
-            if v > max_v:
-                v = max_v
-            if v <= min_v or store.energy_j <= 0:
-                return
-            v_new = v * decay
-            if v_new < min_v:
-                v_new = min_v
-            e_new = half_cap * (v_new * v_new - min_v2)
-            lost = store.energy_j - e_new
-            if lost > 0.0:
-                store.energy_j -= lost
-
-        return idle
-
-    # ------------------------------------------------------------------
-    # Batched lowering (see repro.simulation.kernel.batched)
-    # ------------------------------------------------------------------
-    def _batch_init(self, dt: float, siblings, state) -> None:
-        from ..simulation.kernel.batched import gather
-        state.lic_cap = gather(siblings, lambda s: s.capacitance_f)
-        state.lic_half_cap = gather(siblings, lambda s: 0.5 * s.capacitance_f)
-        state.lic_min_v = gather(siblings, lambda s: s.min_voltage)
-        state.lic_min_v2 = gather(siblings, lambda s: s.min_voltage ** 2)
-        state.lic_max_v = gather(siblings, lambda s: s.max_voltage)
-        state.lic_decay = gather(
-            siblings,
-            lambda s: math.exp(-dt / (s.leakage_resistance * s.capacitance_f)))
-
-    def _batch_voltage(self, dt: float, siblings, state):
-        import numpy as np
-        cap, min_v2, max_v = state.lic_cap, state.lic_min_v2, state.lic_max_v
-
-        def voltage():
-            v_sq = min_v2 + 2.0 * state.energy / cap
-            v = np.sqrt(v_sq)
-            return np.where(max_v <= v, max_v, v)
-
-        return voltage
-
-    def _batch_idle(self, dt: float, siblings, state):
-        import numpy as np
-        cap = state.lic_cap
-        half_cap = state.lic_half_cap
-        min_v = state.lic_min_v
-        min_v2 = state.lic_min_v2
-        max_v = state.lic_max_v
-        decay = state.lic_decay
-
-        def idle() -> None:
-            v_sq = min_v2 + 2.0 * state.energy / cap
-            v = np.sqrt(v_sq)
-            v = np.where(v > max_v, max_v, v)
-            act = (v > min_v) & (state.energy > 0.0)
-            v_new = v * decay
-            v_new = np.where(v_new < min_v, min_v, v_new)
-            e_new = half_cap * (v_new * v_new - min_v2)
-            lost = state.energy - e_new
-            state.energy = state.energy - np.where(act & (lost > 0.0),
-                                                   lost, 0.0)
-
-        return idle

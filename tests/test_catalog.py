@@ -236,11 +236,18 @@ class TestManifest:
         path = tmp_path / "manifest.jsonl"
         good = ManifestRecord(run_id="r1", spec_hash="ab" * 32, seed=1,
                               code_version="v1")
+        # A record whose result row is not a dict would crash a
+        # metric-band query (metrics) or a restore (params, extras).
+        bad_rows = [json.dumps({**ManifestRecord(
+            run_id=f"bad-{key}", spec_hash=key[0] * 64, seed=1,
+            code_version="v1").to_dict(), key: [1]})
+            for key in ("metrics", "params", "extras")]
         path.write_text(json.dumps(good.to_dict()) + "\n"
-                        + "{torn line\n" + "[1]\n" + "null\n" + '"run"\n')
+                        + "{torn line\n" + "[1]\n" + "null\n" + '"run"\n'
+                        + "".join(line + "\n" for line in bad_rows))
         manifest = Manifest(path)
         assert len(manifest) == 1
-        assert manifest.corrupt_lines == 4
+        assert manifest.corrupt_lines == 7
         assert manifest.lookup("ab" * 32, 1, "v1").run_id == "r1"
 
     def test_record_appended_after_torn_line_survives_reload(self, tmp_path):

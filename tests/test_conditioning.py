@@ -1,5 +1,6 @@
 """Tests for converters, MPPT trackers, conditioners, interface circuits."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +91,59 @@ class TestConverters:
                   BoostConverter()):
             eff = c.efficiency(p, 3.0, 3.3)
             assert 0.0 <= eff <= 1.0
+
+
+#: Each library converter with the input voltages at its window edges,
+#: as a function of the output voltage.
+LOCKSTEP_CONVERTERS = {
+    "ideal": (IdealConverter, lambda c, v_out: []),
+    "buck_boost": (BuckBoostConverter,
+                   lambda c, v_out: [c.min_input_voltage,
+                                     c.max_input_voltage]),
+    "boost": (BoostConverter,
+              lambda c, v_out: [c.min_input_voltage, c.max_input_voltage,
+                                v_out]),
+    "ldo": (LinearRegulator,
+            lambda c, v_out: [v_out, v_out + c.dropout_voltage]),
+    "diode": (DiodeRectifier, lambda c, v_out: [c.total_drop]),
+}
+
+
+class TestLockstepStages:
+    """Each library converter's lockstep stages are its methods, lane by
+    lane and bit for bit (``float.hex``), ``inf`` included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(sorted(LOCKSTEP_CONVERTERS)), data=st.data())
+    def test_batched_stages_equal_the_methods(self, kind, data):
+        cls, edges = LOCKSTEP_CONVERTERS[kind]
+        converter = cls()
+        lanes = []
+        for _ in range(data.draw(st.integers(1, 6), label="lanes")):
+            v_out = data.draw(st.one_of(st.sampled_from([0.0, 1.8, 3.3]),
+                                        st.floats(0.0, 25.0)))
+            v_in = data.draw(st.one_of(
+                st.sampled_from([0.0, *edges(converter, v_out)]),
+                st.floats(0.0, 25.0)))
+            p = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0)))
+            lanes.append((p, v_in, v_out))
+        p, v_in, v_out = (np.array(column) for column in zip(*lanes))
+        siblings = [cls() for _ in lanes]
+        with np.errstate(all="ignore"):
+            forward = converter.lower_output_batched(30.0, siblings)(
+                p, v_in, v_out)
+            inverse = converter.lower_input_batched(30.0, siblings)(
+                p, v_in, v_out)
+        for k, lane in enumerate(lanes):
+            assert float(forward[k]).hex() == \
+                converter.output_power(*lane).hex(), lane
+            assert float(inverse[k]).hex() == \
+                converter.input_power(*lane).hex(), lane
+
+    def test_ideal_kernel_stages_are_the_bound_methods(self):
+        c = IdealConverter()
+        assert c.lower_output_kernel(30.0) == c.output_power
+        assert c.lower_input_kernel(30.0) == c.input_power
 
 
 class TestTrackerStep:

@@ -31,6 +31,7 @@ from repro.harvesters import MicroWindTurbine, PhotovoltaicCell
 from repro.simulation import (
     ScenarioSpec,
     SweepRunner,
+    batch_capability_report,
     simulate,
     why_batch_ineligible,
 )
@@ -59,6 +60,10 @@ STORE_CLASSES = (AABatteryPack, HydrogenFuelCell, IdealStorage,
                  LiIonBattery, LiPolymerBattery, LithiumIonCapacitor,
                  LithiumPrimaryCell, NiMHBattery, Supercapacitor,
                  ThinFilmBattery)
+
+#: Store classes with no lockstep lowering: no workload batches them, so
+#: they run per scenario on the scalar kernel.
+PER_SCENARIO_STORE_CLASSES = (IdealStorage, LithiumIonCapacitor)
 
 #: The store methods the bank calls, each overridable on its own.
 METHODS = ("charge", "discharge", "step_idle", "voltage")
@@ -136,12 +141,29 @@ class TestGuardParity:
     """Each single-method override: the batched tier still refuses it,
     the scalar kernel runs it through its own methods bit for bit."""
 
-    @pytest.mark.parametrize("store_cls", STORE_CLASSES,
-                             ids=lambda c: c.__name__)
+    @pytest.mark.parametrize(
+        "store_cls",
+        [c for c in STORE_CLASSES if c not in PER_SCENARIO_STORE_CLASSES],
+        ids=lambda c: c.__name__)
     def test_base_classes_batch(self, store_cls):
         """The refusals below are the overrides', not the shape's."""
         assert why_batch_ineligible(_single_store_system(store_cls),
                                     300.0) is None
+
+    @pytest.mark.parametrize("store_cls", PER_SCENARIO_STORE_CLASSES,
+                             ids=lambda c: c.__name__)
+    def test_refused_runs_per_scenario(self, store_cls):
+        """Lockstep refuses the class with a report naming it, and a day
+        on the scalar kernel is bitwise the legacy loop."""
+        build = partial(_single_store_system, store_cls)
+        report = batch_capability_report(build(), 300.0)
+        assert report is not None
+        assert report.component == store_cls.__name__
+        assert why_ineligible(build(), 300.0) is None
+        env = outdoor_environment(duration=DAY, dt=300.0, seed=5)
+        kernel, legacy = _kernel_and_legacy(build, env, 300.0)
+        assert kernel.execution_path == "kernel"
+        assert_recorded_equal(kernel, legacy, store_cls.__name__)
 
     @pytest.mark.parametrize("case", OVERRIDES, ids=_override_id)
     def test_batched_tier_refuses_the_override(self, case):
