@@ -17,9 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..harvesters.base import Harvester
-from .converters import BuckBoostConverter, Converter, IdealConverter
-from .mppt import MPPTracker, OracleMPPT
+from ..harvesters.base import Harvester, retune_state
+from .converters import (
+    V_OUT_STEP_UP_TEST,
+    BuckBoostConverter,
+    Converter,
+    IdealConverter,
+    forward_v_out,
+)
+from .mppt import _FIXED_VOLTAGE_STEP, FixedVoltage, MPPTracker, OracleMPPT
 
 __all__ = ["HarvestStep", "InputConditioner", "OutputConditioner"]
 
@@ -108,6 +114,24 @@ class InputConditioner:
         validation hoisted; the tracker and converter contribute their
         own lowerings (bound methods by default, so any model in the
         library — or a user subclass — stays exact).
+
+        A single-slot memo, keyed on the harvester object (a hot-swap
+        resets it), the ambient value (``==``, so a NaN never hits) and
+        the harvester's :func:`~repro.harvesters.base.retune_state`,
+        skips what those determine. At fine steps the value repeats for
+        many steps in a row (it changes only with the trace row). For
+        every tracker the memo holds ``max_power``, whose Newton/golden
+        solve would otherwise dominate. For the library's own
+        :class:`~repro.conditioning.mppt.FixedVoltage` it holds the
+        whole :class:`HarvestStep` when the converter's class states
+        how its forward stage reads ``v_out``
+        (:func:`~repro.conditioning.converters.forward_v_out`). The key
+        then adds the tracker's live ``voltage``, and for Boost the
+        step-up test ``bus_v < v_in``. Only library harvesters engage
+        the memo (``is_library_harvester``), so a user harvester class
+        keeps every call. A ``FixedVoltage`` subclass, a wrapper
+        installed on ``FixedVoltage.step`` and a converter class that
+        states nothing keep every tracker and converter call.
         """
         from ..simulation.kernel.protocol import (
             ensure_unmodified,
@@ -122,43 +146,63 @@ class InputConditioner:
         lower_conv = getattr(converter, "lower_output_kernel", None)
         converter_out = lower_conv(dt) if lower_conv is not None \
             else converter.output_power
+        reads_v_out = forward_v_out(converter)
+        whole = reads_v_out is not None and \
+            type(tracker) is FixedVoltage and \
+            FixedVoltage.step is _FIXED_VOLTAGE_STEP
+        step_up = reads_v_out == V_OUT_STEP_UP_TEST
 
-        # Single-slot MPP memo: max_power is a pure function of
-        # (harvester, ambient) for every library harvester, and at fine
-        # simulation steps the ambient value repeats for many steps in a
-        # row (it only changes when the trace row does), so the Newton/
-        # golden MPP solve is the hot loop's dominant cost. The memo is
-        # keyed on the harvester object (hot-swaps invalidate it) and
-        # only engages for library harvesters — a user subclass with a
-        # stateful max_power keeps today's call-per-step behaviour.
         memo_harvester = None
         memo_pure = False
-        memo_value: float | None = None
+        memo_value = float("nan")
+        memo_tune = None
         memo_mpp = 0.0
+        # The whole step, with the tracker voltage it was taken at, its
+        # operating voltage and its step-up test.
+        memo_step = None
+        memo_fixed = float("nan")
+        memo_in = 0.0
+        memo_below = False
 
         def step(harvester, value: float, bus_v: float) -> HarvestStep:
-            nonlocal memo_harvester, memo_pure, memo_value, memo_mpp
-            decision = tracker_step(harvester, value, dt)
+            nonlocal memo_harvester, memo_pure, memo_value, memo_tune, \
+                memo_mpp, memo_step, memo_fixed, memo_in, memo_below
             if harvester is not memo_harvester:
                 memo_harvester = harvester
                 memo_pure = is_library_harvester(harvester)
-                memo_value = None
-            if memo_pure and value == memo_value:
-                mpp_power = memo_mpp
-            else:
-                mpp_power = harvester.max_power(value)
-                memo_value = value
-                memo_mpp = mpp_power
+                memo_value = float("nan")
+            if not whole:
+                # Every other tracker decides first, in step()'s order,
+                # so the key sees any retune the decision makes.
+                decision = tracker_step(harvester, value, dt)
+            same = False
+            if memo_pure:
+                tune = retune_state(harvester)
+                same = value == memo_value and tune == memo_tune
+            if whole:
+                fixed = tracker.voltage
+                if same and fixed == memo_fixed and \
+                        (not step_up or (bus_v < memo_in) == memo_below):
+                    return memo_step
+                decision = tracker_step(harvester, value, dt)
+            mpp_power = memo_mpp if same else harvester.max_power(value)
             voltage = decision.voltage
             if not decision.harvesting or voltage <= 0:
-                return HarvestStep(0.0, 0.0, voltage, mpp_power)
-            raw = harvester.power_at(voltage, value) * decision.duty
-            delivered = converter_out(raw, voltage, bus_v)
-            if delivered == 0.0 and raw > 0.0:
-                # Converter shut down: the input stage disconnects the
-                # harvester, so nothing is actually extracted either.
-                raw = 0.0
-            return HarvestStep(raw, delivered, voltage, mpp_power)
+                hs = HarvestStep(0.0, 0.0, voltage, mpp_power)
+            else:
+                raw = harvester.power_at(voltage, value) * decision.duty
+                delivered = converter_out(raw, voltage, bus_v)
+                if delivered == 0.0 and raw > 0.0:
+                    # Converter shut down: the input stage disconnects
+                    # the harvester, so nothing is actually extracted.
+                    raw = 0.0
+                hs = HarvestStep(raw, delivered, voltage, mpp_power)
+            if memo_pure:
+                memo_value, memo_tune, memo_mpp = value, tune, mpp_power
+                if whole:
+                    memo_step, memo_fixed = hs, fixed
+                    memo_in, memo_below = voltage, bus_v < voltage
+            return hs
 
         return step
 

@@ -35,6 +35,28 @@ __all__ = [
 ]
 
 
+#: How a converter class's forward stage (:meth:`Converter.output_power`)
+#: reads ``v_out``: not at all, or only through ``v_out < v_in``. Each
+#: library class states one as ``_forward_v_out`` beside its
+#: ``efficiency``; :func:`forward_v_out` reads the statement.
+V_OUT_UNREAD = "unread"
+V_OUT_STEP_UP_TEST = "v_out < v_in"
+
+
+def forward_v_out(converter):
+    """How the forward stage of ``converter``'s exact class reads
+    ``v_out``: :data:`V_OUT_UNREAD`, :data:`V_OUT_STEP_UP_TEST`, or
+    ``None`` when the class states nothing (the LDO reads it in general).
+
+    The statement is looked up in the class's own namespace, so a
+    subclass never inherits one: its ``efficiency`` may read ``v_out``
+    any way it likes. The kernel's channel memo keys a whole
+    conditioning step on it (see
+    :meth:`~repro.conditioning.base.InputConditioner.lower_kernel`).
+    """
+    return vars(type(converter)).get("_forward_v_out")
+
+
 def _batch_guard(siblings, base: type, *names) -> None:
     """Refuse a batched converter lowering for overridden physics."""
     from ..simulation.kernel.protocol import (
@@ -164,6 +186,8 @@ class Converter(abc.ABC):
 class IdealConverter(Converter):
     """Lossless stage — the oracle reference for efficiency studies."""
 
+    _forward_v_out = V_OUT_UNREAD
+
     def efficiency(self, p_in: float, v_in: float, v_out: float) -> float:
         return 1.0
 
@@ -213,6 +237,8 @@ class BuckBoostConverter(Converter):
         self.min_input_voltage = min_input_voltage
         self.max_input_voltage = max_input_voltage
 
+    _forward_v_out = V_OUT_UNREAD
+
     def efficiency(self, p_in: float, v_in: float, v_out: float) -> float:
         if p_in <= 0:
             return 0.0
@@ -241,7 +267,15 @@ class BuckBoostConverter(Converter):
         return output_power
 
     def lower_input_kernel(self, dt: float):
-        """The damped fixed-point inversion with efficiency inlined."""
+        """The damped fixed-point inversion with efficiency inlined,
+        memoized on the demand.
+
+        Past the zero and window tests the fixed point reads only
+        ``p_out``, and a node's demand holds one value for long
+        stretches, so the last solve is reused whenever ``p_out``
+        repeats (``==``, so a NaN never does), as the lockstep stage and
+        the fused emission do.
+        """
         from ..simulation.kernel.protocol import overridden_methods
         if overridden_methods(self, BuckBoostConverter,
                               "efficiency", "input_power"):
@@ -251,26 +285,34 @@ class BuckBoostConverter(Converter):
         v_lo = self.min_input_voltage
         v_hi = self.max_input_voltage
         inf = float("inf")
+        memo_out = float("nan")
+        memo_in = 0.0
 
         def input_power(p_out: float, v_in: float, v_out: float) -> float:
+            nonlocal memo_out, memo_in
             if p_out == 0.0:
                 return 0.0
             if v_in < v_lo or v_in > v_hi:
                 return inf
+            if p_out == memo_out:
+                return memo_in
             # Same damped fixed point as Converter.input_power, with the
             # (run-constant) voltage-window test hoisted out of the loop.
             p_in = p_out
             for _ in range(30):
                 eff = peak * p_in / (p_in + overhead)
                 if eff <= 0.0:
-                    return inf
+                    p_in = inf
+                    break
                 p_new = p_out / eff
                 diff = p_new - p_in
                 if diff < 0.0:
                     diff = -diff
                 if diff < 1e-12 * (p_in if p_in > 1.0 else 1.0):
-                    return p_new
+                    p_in = p_new
+                    break
                 p_in = 0.5 * (p_in + p_new)
+            memo_out, memo_in = p_out, p_in
             return p_in
 
         return input_power
@@ -338,6 +380,8 @@ class BuckBoostConverter(Converter):
 class BoostConverter(BuckBoostConverter):
     """Step-up switcher: like buck-boost but requires ``v_out >= v_in``."""
 
+    _forward_v_out = V_OUT_STEP_UP_TEST
+
     def efficiency(self, p_in: float, v_in: float, v_out: float) -> float:
         if v_out < v_in:
             return 0.0
@@ -387,6 +431,7 @@ class LinearRegulator(Converter):
             raise ValueError("dropout_voltage must be non-negative")
         self.dropout_voltage = dropout_voltage
 
+    # States no _forward_v_out: the efficiency reads v_out in general.
     def efficiency(self, p_in: float, v_in: float, v_out: float) -> float:
         if p_in <= 0 or v_in <= 0 or v_out <= 0:
             return 0.0
@@ -477,6 +522,8 @@ class DiodeRectifier(Converter):
     @property
     def total_drop(self) -> float:
         return self.forward_drop * self.diodes_in_path
+
+    _forward_v_out = V_OUT_UNREAD
 
     def efficiency(self, p_in: float, v_in: float, v_out: float) -> float:
         if p_in <= 0 or v_in <= 0:

@@ -895,3 +895,9 @@ class FixedVoltage(MPPTracker):
                 return TrackerSchedule(np.where(fixed <= voc, fixed, voc))
 
         return _FixedPrepare()
+
+
+#: The decision the kernel's channel memo takes whole
+#: (:meth:`~repro.conditioning.base.InputConditioner.lower_kernel`): it
+#: reads only the harvester's Voc and the live ``voltage``.
+_FIXED_VOLTAGE_STEP = FixedVoltage.step

@@ -164,6 +164,21 @@ class Harvester(abc.ABC):
 _POWER_AT = Harvester.power_at
 
 
+def retune_state(harvester):
+    """The run-time state a library harvester's physics reads besides
+    its arguments: ``current_frequency``, or ``None`` without one.
+
+    Smart-harvester controllers retune resonant harvesters (piezo,
+    electromagnetic) between steps; every other model parameter is fixed
+    at construction. So a library harvester's I-V surface and MPP are
+    pure in ``(voltage, ambient, retune state)``, and every memo over
+    them keys on this: :meth:`TheveninHarvester._thevenin_cached` and
+    the scalar kernel's channel memo
+    (:meth:`~repro.conditioning.base.InputConditioner.lower_kernel`).
+    """
+    return getattr(harvester, "current_frequency", None)
+
+
 def inlines_library_iv(harvester, current_at) -> bool:
     """Whether a :meth:`Harvester.lower_iv` may inline ``harvester``'s
     I-V methods.
@@ -225,13 +240,10 @@ class TheveninHarvester(Harvester):
 
         A simulation step queries the Thevenin pair several times (tracker
         Voc, MPP, operating-point current) with the same ambient value;
-        ``thevenin`` is a pure function of that value, so the repeats are
-        free. The key includes ``current_frequency`` because resonant
-        harvesters (piezo, electromagnetic) are retuned at runtime by
-        smart-harvester controllers; all other model parameters are fixed
-        at construction.
+        ``thevenin`` is a pure function of that value and the
+        harvester's :func:`retune_state`, so the repeats are free.
         """
-        key = (ambient, getattr(self, "current_frequency", None))
+        key = (ambient, retune_state(self))
         cached = getattr(self, "_thev_memo", None)
         if cached is not None and cached[0] == key:
             return cached[1]
@@ -280,9 +292,9 @@ class TheveninHarvester(Harvester):
         The closures repeat :meth:`current_at` and :meth:`power_at`
         expression for expression, raises included, so they are bitwise
         the methods at this ``ambient``. The key of
-        :meth:`_thevenin_cached` holds ``current_frequency``, so a retune
-        takes effect at the next lowering. A class that does not keep
-        the library's I-V methods gets the bound ones
+        :meth:`_thevenin_cached` holds the :func:`retune_state`, so a
+        retune takes effect at the next lowering. A class that does not
+        keep the library's I-V methods gets the bound ones
         (:func:`inlines_library_iv`).
         """
         if not inlines_library_iv(self, _THEVENIN_CURRENT_AT):

@@ -75,25 +75,6 @@ class FixedDutyCycle(DutyCycleController):
     def update(self, node: WirelessSensorNode, soc, input_power_w, dt) -> None:
         node.set_measurement_interval(self.interval_s)
 
-    # ------------------------------------------------------------------
-    # Batched lowering (see repro.simulation.kernel.batched)
-    # ------------------------------------------------------------------
-    def lower_batched(self, dt: float, controllers, node):
-        """Set the fixed interval on every firing lane, like the scalar."""
-        from ..simulation.kernel.protocol import ensure_unmodified
-        from ..simulation.kernel.batched import gather
-        for controller in controllers:
-            ensure_unmodified(controller, FixedDutyCycle, "update")
-        interval = gather(controllers, lambda c: c.interval_s)
-
-        def update(fire, soc, soc_none, input_power):
-            node.set_interval(fire, interval)
-
-        def writeback() -> None:
-            return None
-
-        return _BatchedController(tuple(controllers), update, writeback)
-
 
 class ThresholdDutyCycle(DutyCycleController):
     """Staircase adaptation on state of charge.

@@ -151,10 +151,12 @@ def ensure_unmodified(obj, base: type, *names: str) -> None:
 def is_library_harvester(harvester) -> bool:
     """Whether ``harvester``'s class is defined in :mod:`repro.harvesters`.
 
-    Library harvesters are pure in ``(voltage, ambient)``: their I-V and
-    MPP methods keep no state a call could change. Lowerings that skip
-    or memoize harvester calls (the kernel's MPP memo, the P&O limit-
-    cycle fast-forward over ``power_at``, the IncCond one over
+    Library harvesters are pure in ``(voltage, ambient, retune state)``
+    (:func:`~repro.harvesters.base.retune_state`): their I-V and MPP
+    methods keep no state a call could change, and a retune between
+    steps is the only run-time change to their physics. Lowerings that
+    skip or memoize harvester calls (the kernel's channel memo, the P&O
+    limit-cycle fast-forward over ``power_at``, the IncCond one over
     ``current_at``, the fused codegen memos, and the per-ambient I-V
     lowering :meth:`~repro.harvesters.base.Harvester.lower_iv`, which
     writes this test out) engage only for them; a user harvester class

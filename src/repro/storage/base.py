@@ -323,11 +323,22 @@ class EnergyStorage(abc.ABC):
             gather,
             same_class,
         )
+        from ..simulation.kernel.protocol import LoweringUnsupported
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         same_class(siblings, "store")
-        # The guards test the class, which the group shares.
-        self._kernel_closures(dt)
+        # The guards test the class, which the group shares. Their
+        # refusal speaks for the scalar kernel, where the store runs on
+        # its own methods; here it is a lockstep refusal.
+        try:
+            self._kernel_closures(dt)
+        except LoweringUnsupported as refusal:
+            overrides = str(refusal).partition(" and defines")[0]
+            raise LoweringUnsupported(
+                f"{overrides}, so it has no lockstep lowering; it runs per "
+                f"scenario, on the scalar kernel through its own methods",
+                component=type(self).__name__,
+                capability=refusal.capability) from refusal
         state = BatchState()
         state.energy = gather(siblings, lambda s: s.energy_j)
         state.charged = gather(siblings, lambda s: s.total_charged_j)

@@ -18,9 +18,10 @@ boundary of that rule:
   once.
 
 The lockstep tier takes whole groups of enabled lanes: a group whose
-compile refuses on instance state the topology signature cannot see runs
-whole per scenario, and a lane with a disabled channel is refused; both
-carry a report naming the refusing class.
+compile refuses, on instance state the topology signature cannot see or
+on a class with no lockstep lowering, runs whole per scenario, and a
+lane with a disabled channel is refused; both carry a report naming the
+refusing class.
 
 The grids use the fused codegen shape; the engine's codegen attempt is
 refused here so per-scenario rows name the scalar kernel, the tier the
@@ -36,7 +37,7 @@ from repro.analysis.experiments.common import make_reference_system
 from repro.core.manager import StaticManager, ThresholdManager
 from repro.environment.composite import outdoor_environment
 from repro.harvesters import PhotovoltaicCell
-from repro.load import ThresholdDutyCycle
+from repro.load import FixedDutyCycle, ThresholdDutyCycle
 from repro.simulation import ScenarioSpec, SweepRunner
 from repro.simulation import batched_sweep
 from repro.simulation import sweep as sweep_module
@@ -171,6 +172,10 @@ def _two_level_threshold_manager():
         controller=ThresholdDutyCycle(levels=((0.5, 60.0), (0.0, 600.0))))
 
 
+def _fixed_duty_threshold_manager():
+    return ThresholdManager(controller=FixedDutyCycle(120.0))
+
+
 def _managed(make_manager, area=5.0):
     return make_reference_system(
         [PhotovoltaicCell(area_cm2=area, efficiency=0.12, name="pv")],
@@ -183,12 +188,16 @@ def _disabled_channel(area):
     return system
 
 
-#: Lane factories of one topology signature whose group compile refuses
-#: on instance state the signature cannot see (the first lane alone
-#: batches), keyed by the class the refusal names.
+#: Lane factories of one topology signature whose compile refuses,
+#: keyed by the class the refusal names: on instance state the signature
+#: cannot see (the first lane alone batches), or on a class with no
+#: lockstep lowering (``FixedDutyCycle``, which only E10 runs, per
+#: scenario).
 REFUSED_GROUPS = {
     "StaticManager": (StaticManager, _waking_static_manager),
     "ThresholdDutyCycle": (ThresholdManager, _two_level_threshold_manager),
+    "FixedDutyCycle": (_fixed_duty_threshold_manager,
+                       _fixed_duty_threshold_manager),
 }
 
 

@@ -153,12 +153,16 @@ class TestGuardParity:
     @pytest.mark.parametrize("store_cls", PER_SCENARIO_STORE_CLASSES,
                              ids=lambda c: c.__name__)
     def test_refused_runs_per_scenario(self, store_cls):
-        """Lockstep refuses the class with a report naming it, and a day
-        on the scalar kernel is bitwise the legacy loop."""
+        """Lockstep refuses the class with a report naming it, worded as
+        a lockstep refusal, and a day on the scalar kernel is bitwise
+        the legacy loop."""
         build = partial(_single_store_system, store_cls)
         report = batch_capability_report(build(), 300.0)
         assert report is not None
         assert report.component == store_cls.__name__
+        assert "kernel lowering" not in report.detail
+        assert "no batched" in report.detail or \
+            "no lockstep lowering" in report.detail
         assert why_ineligible(build(), 300.0) is None
         env = outdoor_environment(duration=DAY, dt=300.0, seed=5)
         kernel, legacy = _kernel_and_legacy(build, env, 300.0)
