@@ -314,9 +314,8 @@ class OutputConditioner:
 
         The ``needed(demand_w, store_v)`` closure replicates
         :meth:`input_power_for` — brown-out window first, then the
-        converter's inversion, which the converter itself lowers
-        (inlined fixed point for a buck-boost, the bound method
-        otherwise).
+        converter's own ``input_power``, which inverts its curve in
+        closed form for every library class.
         """
         from ..simulation.kernel.protocol import OutputLowering, \
             ensure_unmodified
@@ -327,12 +326,10 @@ class OutputConditioner:
         v_out = self.output_voltage
         inf = float("inf")
         probe = converter.efficiency
-        lower_conv = getattr(converter, "lower_input_kernel", None)
-        converter_in = lower_conv(dt) if lower_conv is not None \
-            else converter.input_power
+        converter_in = converter.input_power
         if type(converter) is BuckBoostConverter:
-            # The specialized inversion already tests the (run-constant)
-            # voltage window, which is exactly can_supply's probe here.
+            # The buck-boost's input_power tests its voltage window,
+            # which is exactly can_supply's probe here.
             def needed(demand_w: float, store_v: float) -> float:
                 if demand_w == 0.0:
                     return 0.0
@@ -345,7 +342,7 @@ class OutputConditioner:
                     return 0.0
                 if store_v < min_v:
                     return inf
-                if probe(1e-3, store_v, v_out) <= 0.0:
+                if not probe(1e-3, store_v, v_out) > 0.0:  # NaN included
                     return inf
                 return converter_in(demand_w, store_v, v_out)
         return OutputLowering(self, needed)
@@ -396,7 +393,7 @@ class OutputConditioner:
                 probe = probe_fn(1e-3, store_v, v_out)
                 return np.where(
                     demand_w == 0.0, 0.0,
-                    np.where((store_v < min_v) | (probe <= 0.0), inf,
+                    np.where((store_v < min_v) | ~(probe > 0.0), inf,
                              converter_in(demand_w, store_v, v_out)))
         return BatchedOutputLowering(tuple(siblings), needed)
 

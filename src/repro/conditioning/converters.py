@@ -24,6 +24,7 @@ from __future__ import annotations
 from ..spec.registry import register
 
 import abc
+import math
 
 __all__ = [
     "Converter",
@@ -77,6 +78,14 @@ class Converter(abc.ABC):
     def __init__(self, name: str = ""):
         self.name = name or type(self).__name__
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # A closed-form input_power inverts its own class's curve only,
+        # so a class that redefines efficiency without an input_power of
+        # its own inverts by the generic fixed point, on every tier.
+        if "efficiency" in vars(cls) and "input_power" not in vars(cls):
+            cls.input_power = Converter.input_power
+
     @abc.abstractmethod
     def efficiency(self, p_in: float, v_in: float, v_out: float) -> float:
         """Conversion efficiency in [0, 1] for the given operating point."""
@@ -92,9 +101,10 @@ class Converter(abc.ABC):
     def input_power(self, p_out: float, v_in: float, v_out: float) -> float:
         """Input power (W) needed to deliver ``p_out`` (fixed-point solve).
 
-        Efficiency depends on input power, so invert by a few damped
-        fixed-point iterations — the efficiency curves used here are
-        monotone in ``p_in``, which makes this converge quickly.
+        The generic inversion, for an efficiency curve the class does not
+        invert in closed form: a few damped fixed-point iterations, which
+        converge quickly on a curve monotone in ``p_in``. Every library
+        class inverts its own curve exactly instead.
         """
         if p_out < 0:
             raise ValueError(f"p_out must be non-negative, got {p_out}")
@@ -123,15 +133,6 @@ class Converter(abc.ABC):
         """
         return self.output_power
 
-    def lower_input_kernel(self, dt: float):
-        """Inversion closure ``(p_out, v_in, v_out) -> p_in``.
-
-        The bound :meth:`input_power` — including its damped fixed-point
-        iteration and its early-exit tolerance — is exact for every
-        converter, so the base lowering simply returns it.
-        """
-        return self.input_power
-
     # ------------------------------------------------------------------
     # Batched lowering (see repro.simulation.kernel.batched)
     # ------------------------------------------------------------------
@@ -141,8 +142,7 @@ class Converter(abc.ABC):
         from ..simulation.kernel.protocol import overridden_methods
         builder = getattr(type(self), "_batch_efficiency", None)
         if builder is None or overridden_methods(self, Converter,
-                                                 "output_power",
-                                                 "input_power"):
+                                                 "output_power"):
             return None
         return self._batch_efficiency(siblings)
 
@@ -162,24 +162,41 @@ class Converter(abc.ABC):
         return output_power
 
     def lower_input_batched(self, dt: float, siblings):
-        """Vectorized twin of the bound :meth:`input_power` fixed point."""
+        """Vectorized twin of the ideal, LDO and diode's ``p_out / eff``
+        (:func:`_flat_input_power`); the knee classes lower their own
+        root."""
         import numpy as np
         from ..simulation.kernel.protocol import LoweringUnsupported
-        from ..simulation.kernel.batched import damped_fixed_point
         eff_fn = self._batch_efficiency_hook(siblings)
-        if eff_fn is None:
+        if eff_fn is None or type(self).input_power is not _flat_input_power:
             raise LoweringUnsupported(
                 f"{type(self).__name__} has no batched input lowering")
+        inf = float("inf")
 
         def input_power(p_out, v_in, v_out):
-            core = damped_fixed_point(
-                p_out, lambda p: eff_fn(p, v_in, v_out))
-            return np.where(p_out == 0.0, 0.0, core)
+            eff = eff_fn(p_out, v_in, v_out)
+            return np.where(p_out == 0.0, 0.0,
+                            np.where(eff <= 0.0, inf, p_out / eff))
 
         return input_power
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+def _flat_input_power(self, p_out: float, v_in: float,
+                      v_out: float) -> float:
+    """``input_power`` of a curve that reads ``p_in`` only through
+    ``p_in <= 0`` (ideal, LDO, diode): every positive input sees one
+    efficiency, so the inverse is ``p_out / eff``."""
+    if p_out < 0:
+        raise ValueError(f"p_out must be non-negative, got {p_out}")
+    if p_out == 0.0:
+        return 0.0
+    eff = self.efficiency(p_out, v_in, v_out)
+    if eff <= 0:
+        return float("inf")
+    return p_out / eff
 
 
 @register("converter", "ideal")
@@ -190,6 +207,8 @@ class IdealConverter(Converter):
 
     def efficiency(self, p_in: float, v_in: float, v_out: float) -> float:
         return 1.0
+
+    input_power = _flat_input_power
 
     # ------------------------------------------------------------------
     # Batched lowering (see repro.simulation.kernel.batched)
@@ -246,6 +265,24 @@ class BuckBoostConverter(Converter):
             return 0.0
         return self.peak_efficiency * p_in / (p_in + self.overhead_power)
 
+    def input_power(self, p_out: float, v_in: float, v_out: float) -> float:
+        """The knee inverted in closed form.
+
+        ``p_out = peak * P**2 / (P + overhead)`` is a quadratic in the
+        input power ``P``; its positive root is the inverse, inside the
+        input window (a NaN ``v_in`` is outside it).
+        """
+        if p_out < 0:
+            raise ValueError(f"p_out must be non-negative, got {p_out}")
+        if p_out == 0.0:
+            return 0.0
+        if not self.min_input_voltage <= v_in <= self.max_input_voltage:
+            return float("inf")
+        peak = self.peak_efficiency
+        return (p_out + math.sqrt(
+            p_out * p_out + 4.0 * peak * self.overhead_power * p_out)) \
+            / (2.0 * peak)
+
     def lower_output_kernel(self, dt: float):
         """Forward conversion with the knee curve and window inlined."""
         from ..simulation.kernel.protocol import overridden_methods
@@ -265,57 +302,6 @@ class BuckBoostConverter(Converter):
             return p_in * 0.0
 
         return output_power
-
-    def lower_input_kernel(self, dt: float):
-        """The damped fixed-point inversion with efficiency inlined,
-        memoized on the demand.
-
-        Past the zero and window tests the fixed point reads only
-        ``p_out``, and a node's demand holds one value for long
-        stretches, so the last solve is reused whenever ``p_out``
-        repeats (``==``, so a NaN never does), as the lockstep stage and
-        the fused emission do.
-        """
-        from ..simulation.kernel.protocol import overridden_methods
-        if overridden_methods(self, BuckBoostConverter,
-                              "efficiency", "input_power"):
-            return self.input_power
-        peak = self.peak_efficiency
-        overhead = self.overhead_power
-        v_lo = self.min_input_voltage
-        v_hi = self.max_input_voltage
-        inf = float("inf")
-        memo_out = float("nan")
-        memo_in = 0.0
-
-        def input_power(p_out: float, v_in: float, v_out: float) -> float:
-            nonlocal memo_out, memo_in
-            if p_out == 0.0:
-                return 0.0
-            if v_in < v_lo or v_in > v_hi:
-                return inf
-            if p_out == memo_out:
-                return memo_in
-            # Same damped fixed point as Converter.input_power, with the
-            # (run-constant) voltage-window test hoisted out of the loop.
-            p_in = p_out
-            for _ in range(30):
-                eff = peak * p_in / (p_in + overhead)
-                if eff <= 0.0:
-                    p_in = inf
-                    break
-                p_new = p_out / eff
-                diff = p_new - p_in
-                if diff < 0.0:
-                    diff = -diff
-                if diff < 1e-12 * (p_in if p_in > 1.0 else 1.0):
-                    p_in = p_new
-                    break
-                p_in = 0.5 * (p_in + p_new)
-            memo_out, memo_in = p_out, p_in
-            return p_in
-
-        return input_power
 
     # ------------------------------------------------------------------
     # Batched lowering (see repro.simulation.kernel.batched)
@@ -341,37 +327,32 @@ class BuckBoostConverter(Converter):
         return output_power
 
     def lower_input_batched(self, dt: float, siblings):
-        """Vectorized damped fixed point, memoized on the demand vector.
-
-        The knee efficiency depends only on input power, so the solved
-        ``p_in`` is a pure per-lane function of ``p_out`` — and a
-        sweep's node demand vector is constant for long stretches. The
-        last solve is reused whenever ``p_out`` repeats bit-for-bit,
-        which collapses the per-step fixed point to one array compare on
-        the common path.
-        """
-        import numpy as np
-        from ..simulation.kernel.batched import damped_fixed_point, gather
+        """Vectorized twin of :meth:`input_power`."""
         _batch_guard(siblings, BuckBoostConverter,
                      "efficiency", "input_power")
-        peak = gather(siblings, lambda c: c.peak_efficiency)
-        overhead = gather(siblings, lambda c: c.overhead_power)
+        return self._batched_root(siblings)
+
+    def _batched_root(self, siblings):
+        """The knee's root over lanes, behind the window.
+
+        ``4.0 * peak * overhead`` and ``2.0 * peak`` are hoisted per
+        lane: they are the leading products of :meth:`input_power`'s
+        expression, so no bit moves.
+        """
+        import numpy as np
+        from ..simulation.kernel.batched import gather
+        four_po = gather(siblings, lambda c: 4.0 * c.peak_efficiency *
+                         c.overhead_power)
+        two_peak = gather(siblings, lambda c: 2.0 * c.peak_efficiency)
         v_lo = gather(siblings, lambda c: c.min_input_voltage)
         v_hi = gather(siblings, lambda c: c.max_input_voltage)
         inf = float("inf")
-        memo: list = [None, None]
 
         def input_power(p_out, v_in, v_out):
-            if memo[0] is not None and np.array_equal(memo[0], p_out):
-                core = memo[1]
-            else:
-                core = damped_fixed_point(
-                    p_out, lambda p: peak * p / (p + overhead))
-                memo[0] = p_out.copy() if hasattr(p_out, "copy") else p_out
-                memo[1] = core
-            out_of_window = (v_in < v_lo) | (v_in > v_hi)
-            return np.where(p_out == 0.0, 0.0,
-                            np.where(out_of_window, inf, core))
+            dead = ~((v_lo <= v_in) & (v_in <= v_hi))
+            root = (p_out + np.sqrt(p_out * p_out + four_po * p_out)) \
+                / two_peak
+            return np.where(p_out == 0.0, 0.0, np.where(dead, inf, root))
 
         return input_power
 
@@ -387,14 +368,33 @@ class BoostConverter(BuckBoostConverter):
             return 0.0
         return super().efficiency(p_in, v_in, v_out)
 
+    def input_power(self, p_out: float, v_in: float, v_out: float) -> float:
+        """The buck-boost root, behind the step-up test."""
+        if v_out < v_in and not p_out <= 0.0:
+            return float("inf")
+        return super().input_power(p_out, v_in, v_out)
+
     # ------------------------------------------------------------------
     # Batched lowering (see repro.simulation.kernel.batched)
     # ------------------------------------------------------------------
-    # The scalar kernel runs Boost through its bound methods (the
-    # efficiency override defeats the buck-boost inlining), so lockstep
-    # runs the generic stages over the efficiency below.
+    # The scalar kernel runs Boost's forward stage through its bound
+    # method (the efficiency override defeats the buck-boost inlining),
+    # so lockstep runs the generic forward stage over the efficiency
+    # below.
     lower_output_batched = Converter.lower_output_batched
-    lower_input_batched = Converter.lower_input_batched
+
+    def lower_input_batched(self, dt: float, siblings):
+        """Vectorized twin of :meth:`input_power`."""
+        import numpy as np
+        _batch_guard(siblings, BoostConverter, "efficiency", "input_power")
+        root = self._batched_root(siblings)
+        inf = float("inf")
+
+        def input_power(p_out, v_in, v_out):
+            return np.where((v_out < v_in) & ~(p_out <= 0.0), inf,
+                            root(p_out, v_in, v_out))
+
+        return input_power
 
     def _batch_efficiency(self, siblings):
         import numpy as np
@@ -435,52 +435,11 @@ class LinearRegulator(Converter):
     def efficiency(self, p_in: float, v_in: float, v_out: float) -> float:
         if p_in <= 0 or v_in <= 0 or v_out <= 0:
             return 0.0
-        if v_in < v_out + self.dropout_voltage:
+        if not v_in >= v_out + self.dropout_voltage:  # NaN included
             return 0.0
         return min(1.0, v_out / v_in)
 
-    def lower_input_kernel(self, dt: float):
-        """The damped fixed-point inversion with the efficiency
-        evaluated once per call.
-
-        :meth:`efficiency` reads ``p_in`` only through its ``p_in <= 0``
-        test, and every iterate of :meth:`Converter.input_power` is
-        positive or NaN: it starts at ``p_out`` and averages in
-        ``p_out / eff >= p_out``. So every iteration evaluates the same
-        efficiency and the same ``p_new``; the iteration itself is kept
-        operator for operator, and so is its result.
-        """
-        from ..simulation.kernel.protocol import overridden_methods
-        if overridden_methods(self, LinearRegulator,
-                              "efficiency", "input_power"):
-            return self.input_power
-        dropout = self.dropout_voltage
-        inf = float("inf")
-
-        def input_power(p_out: float, v_in: float, v_out: float) -> float:
-            if p_out < 0:
-                raise ValueError(f"p_out must be non-negative, got {p_out}")
-            if p_out == 0.0:
-                return 0.0
-            if v_in <= 0 or v_out <= 0 or v_in < v_out + dropout:
-                return inf
-            eff = v_out / v_in
-            if not eff < 1.0:  # min(1.0, eff), NaN included
-                eff = 1.0
-            if eff <= 0.0:
-                return inf
-            p_new = p_out / eff
-            p_in = p_out
-            for _ in range(30):
-                diff = p_new - p_in
-                if diff < 0.0:
-                    diff = -diff
-                if diff < 1e-12 * (p_in if p_in > 1.0 else 1.0):
-                    return p_new
-                p_in = 0.5 * (p_in + p_new)
-            return p_in
-
-        return input_power
+    input_power = _flat_input_power
 
     # ------------------------------------------------------------------
     # Batched lowering (see repro.simulation.kernel.batched)
@@ -493,7 +452,7 @@ class LinearRegulator(Converter):
 
         def efficiency(p_in, v_in, v_out):
             dead = (p_in <= 0.0) | (v_in <= 0.0) | (v_out <= 0.0) | \
-                (v_in < v_out + dropout)
+                ~(v_in >= v_out + dropout)
             return np.where(dead, 0.0, np.minimum(1.0, v_out / v_in))
 
         return efficiency
@@ -528,9 +487,11 @@ class DiodeRectifier(Converter):
     def efficiency(self, p_in: float, v_in: float, v_out: float) -> float:
         if p_in <= 0 or v_in <= 0:
             return 0.0
-        if v_in <= self.total_drop:
+        if not v_in > self.total_drop:  # NaN included
             return 0.0
         return (v_in - self.total_drop) / v_in
+
+    input_power = _flat_input_power
 
     # ------------------------------------------------------------------
     # Batched lowering (see repro.simulation.kernel.batched)
@@ -542,7 +503,7 @@ class DiodeRectifier(Converter):
         drop = gather(siblings, lambda c: c.total_drop)
 
         def efficiency(p_in, v_in, v_out):
-            dead = (p_in <= 0.0) | (v_in <= 0.0) | (v_in <= drop)
+            dead = (p_in <= 0.0) | (v_in <= 0.0) | ~(v_in > drop)
             return np.where(dead, 0.0, (v_in - drop) / v_in)
 
         return efficiency

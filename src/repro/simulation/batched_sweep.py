@@ -190,7 +190,7 @@ def run_batched_tier(specs, default_fast, on_result=None,
             continue
         compileds = [CompiledEnvironment(env, 0.0, n_steps, dt)
                      for _, _, _, env, _ in entries]
-        recorders = [Recorder(dt, keep_records=False) for _ in entries]
+        recorders = [Recorder(dt) for _ in entries]
         paths = run_batched(plan, compileds, recorders, n_steps, dt)
         for (index, spec, system, _, _), recorder, path in zip(
                 entries, recorders, paths):

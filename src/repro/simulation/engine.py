@@ -164,7 +164,7 @@ class Simulator:
                 plan = KernelPlan.compile(system, dt)
             except LoweringUnsupported:
                 pass  # an orchestration subclass: the legacy loop runs it
-        recorder = Recorder(dt, keep_records=plan is None)
+        recorder = Recorder(dt)
         recorder.reserve(n_steps, len(system.bank.stores),
                          len(system.channels))
         if plan is not None:

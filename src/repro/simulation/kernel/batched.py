@@ -85,7 +85,6 @@ __all__ = [
     "exact_log1p",
     "exact_expm1",
     "exact_pow",
-    "damped_fixed_point",
 ]
 
 _INF = float("inf")
@@ -169,35 +168,6 @@ class BatchState:
     sibling closures, the final :meth:`writeback` — always sees the
     latest arrays.
     """
-
-
-def damped_fixed_point(p_out, efficiency):
-    """Vectorized :meth:`Converter.input_power` fixed point.
-
-    ``efficiency(p)`` returns the per-lane efficiency at input power
-    ``p``. Lanes freeze at *their* convergence step, reproducing the
-    scalar loop's early exit; lanes that never converge return the
-    30-times-damped iterate, exactly like the scalar code.
-    """
-    p = p_out.astype(np.float64, copy=True)
-    result = np.zeros_like(p)
-    undecided = np.ones(p.shape, dtype=bool)
-    for _ in range(30):
-        eff = efficiency(p)
-        bad = undecided & (eff <= 0.0)
-        if bad.any():
-            result = np.where(bad, _INF, result)
-            undecided = undecided & ~bad
-        p_new = p_out / eff
-        diff = np.abs(p_new - p)
-        tol = 1e-12 * np.where(p > 1.0, p, 1.0)
-        conv = undecided & (diff < tol)
-        result = np.where(conv, p_new, result)
-        undecided = undecided & ~conv
-        if not undecided.any():
-            break
-        p = np.where(undecided, 0.5 * (p + p_new), p)
-    return np.where(undecided, p, result)
 
 
 # ----------------------------------------------------------------------

@@ -7,13 +7,13 @@ output, P&O + buck-boost channels over library harvesters, a plain node
 and at most a zero-wakeup :class:`~repro.core.manager.StaticManager` —
 this module emits the whole step as straight-line Python over plain
 float locals: the supercapacitor three-branch physics, the buck-boost
-knee/fixed-point, the P&O bookkeeping and the node brown-out state
-machine, with the hoisted run constants unpacked into locals once per
-segment (no attribute access, no call dispatch in the hot loop). The
-leaf harvester physics (``open_circuit_voltage`` / ``power_at`` /
-``max_power``) remains as bound-method calls, behind pure single-slot
-memos keyed on the ambient value, and the P&O control updates go
-through the scalar kernel's limit-cycle fast-forward,
+knee and its closed-form inverse, the P&O bookkeeping and the node
+brown-out state machine, with the hoisted run constants unpacked into
+locals once per segment (no attribute access, no call dispatch in the
+hot loop). The leaf harvester physics (``open_circuit_voltage`` /
+``power_at`` / ``max_power``) remains as bound-method calls, behind
+pure single-slot memos keyed on the ambient value, and the P&O control
+updates go through the scalar kernel's limit-cycle fast-forward,
 :func:`~repro.conditioning.mppt.perturb_observe_updates`, over the
 ``power_at`` of the harvester's per-step
 :meth:`~repro.harvesters.base.Harvester.lower_iv`.
@@ -314,8 +314,10 @@ def _fused_config(plan, has_cols) -> tuple:
         "needed_margin": const("NEEDED_MARGIN", needed_margin),
         "no_margin": needed_margin <= 0.0,
         "out_min_v": const("OUT_MIN_V", output.min_input_voltage),
-        "opeak": const("OPEAK", oconv.peak_efficiency),
-        "oover": const("OOVER", oconv.overhead_power),
+        # BuckBoostConverter.input_power's leading products, hoisted.
+        "ofour": const("OFOUR", 4.0 * oconv.peak_efficiency *
+                       oconv.overhead_power),
+        "otwo": const("OTWO", 2.0 * oconv.peak_efficiency),
         "ovlo": const("OVLO", oconv.min_input_voltage),
         "ovhi": const("OVHI", oconv.max_input_voltage),
         "manager": mgr is not None,
@@ -484,9 +486,6 @@ def _emit_fused(c) -> str:
         A(f"    cka_{k} = 0.0")
         A(f"    cmraw_{k} = 0.0")
         A(f"    cmdel_{k} = 0.0")
-    A("    onhas = False")
-    A("    onkey = 0.0")
-    A("    onval = 0.0")
     A("    for i in range(n_steps):")
     A("        t = times[i]")
     if c["manager"]:
@@ -585,33 +584,14 @@ def _emit_fused(c) -> str:
     A(f"        demand = {c['demand_run']} if nstate == 0 "
       f"else {c['reboot_power']}")
     A("        sv = v_fast")
-    # Brown-out window + converter window; past them the buck-boost
-    # inversion is pure in demand, which takes only two values.
-    A(f"        if sv < {c['out_min_v']} or sv < {c['ovlo']} "
-      f"or sv > {c['ovhi']}:")
+    # Brown-out window + converter window (a NaN store voltage fails
+    # it); past them the buck-boost's closed-form root.
+    A(f"        if sv < {c['out_min_v']} or "
+      f"not {c['ovlo']} <= sv <= {c['ovhi']}:")
     A("            needed = INF")
-    A("        elif onhas and demand == onkey:")
-    A("            needed = onval")
     A("        else:")
-    A("            p_in = demand")
-    A("            for _u in range(30):")
-    A(f"                eff = {c['opeak']} * p_in / (p_in + {c['oover']})")
-    A("                if eff <= 0.0:")
-    A("                    needed = INF")
-    A("                    break")
-    A("                p_new = demand / eff")
-    A("                diff = p_new - p_in")
-    A("                if diff < 0.0:")
-    A("                    diff = -diff")
-    A("                if diff < 1e-12 * (p_in if p_in > 1.0 else 1.0):")
-    A("                    needed = p_new")
-    A("                    break")
-    A("                p_in = 0.5 * (p_in + p_new)")
-    A("            else:")
-    A("                needed = p_in")
-    A("            onkey = demand")
-    A("            onval = needed")
-    A("            onhas = True")
+    A(f"            needed = (demand + sqrt(demand * demand + {c['ofour']} "
+      f"* demand)) / {c['otwo']}")
     A("        if needed == INF:")
     A("            supplied = 0.0")
     A("            drawn = 0.0")

@@ -6,8 +6,8 @@ array on *every* column access, so ``compute_metrics`` re-scanned all
 records once per column. This version is columnar: scalar columns live in
 preallocated float64 arrays grown geometrically, filled either
 
-* eagerly on :meth:`append` (the legacy per-step engine path, which still
-  retains the record objects for ad-hoc inspection), or
+* on :meth:`append` (the legacy per-step engine path), which extracts
+  the columns of each record and keeps no record object, or
 * directly by the fast-path kernel through :meth:`reserve` /
   :meth:`columns_for_writing` / :meth:`commit`, skipping record objects
   entirely.
@@ -57,23 +57,18 @@ _MIN_CAPACITY = 256
 
 
 class Recorder:
-    """Accumulates step records and exposes them as traces/arrays.
+    """Accumulates per-step columns and exposes them as traces/arrays.
 
     Parameters
     ----------
     dt:
         Simulation timestep, seconds.
-    keep_records:
-        When True (default), :meth:`append` also retains the
-        :class:`SystemStepRecord` objects in :attr:`records`. The
-        fast-path kernel writes columns directly and keeps no records.
     """
 
-    def __init__(self, dt: float, keep_records: bool = True):
+    def __init__(self, dt: float):
         if dt <= 0:
             raise ValueError("dt must be positive")
         self.dt = dt
-        self._records: list | None = [] if keep_records else None
         self._n = 0
         self._capacity = 0
         self._scalars: dict = {}
@@ -157,8 +152,6 @@ class Recorder:
         for j, hs in enumerate(record.per_channel):
             self._channel_power[n, j] = hs.delivered_power
         self._n = n + 1
-        if self._records is not None:
-            self._records.append(record)
 
     def columns_for_writing(self) -> tuple:
         """Raw writable arrays for the fast-path kernel.
@@ -180,20 +173,6 @@ class Recorder:
 
     def __len__(self) -> int:
         return self._n
-
-    @property
-    def records(self) -> list:
-        """Retained step records (legacy path only).
-
-        The fast path records columns without materializing per-step
-        objects; use :meth:`column` / :meth:`trace` instead.
-        """
-        if self._records is None:
-            raise AttributeError(
-                "this recorder was filled by the fast-path engine and keeps "
-                "no per-step record objects; read columns via trace()/column()"
-            )
-        return self._records
 
     # ------------------------------------------------------------------
     # Column extraction

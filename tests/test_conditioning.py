@@ -1,5 +1,7 @@
 """Tests for converters, MPPT trackers, conditioners, interface circuits."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,7 +145,73 @@ class TestLockstepStages:
     def test_ideal_kernel_stages_are_the_bound_methods(self):
         c = IdealConverter()
         assert c.lower_output_kernel(30.0) == c.output_power
-        assert c.lower_input_kernel(30.0) == c.input_power
+        assert c.input_power(0.5, 3.0, 5.0) == 0.5
+
+
+def _inside_window(kind, data):
+    """A converter of ``kind`` and a ``(v_in, v_out)`` inside its window."""
+    cls, _ = LOCKSTEP_CONVERTERS[kind]
+    v_out = data.draw(st.floats(0.5, 20.0), label="v_out")
+    if kind == "buck_boost":
+        converter = cls(peak_efficiency=data.draw(st.floats(0.05, 1.0)),
+                        overhead_power=data.draw(st.floats(0.0, 1e-2)))
+        v_in = data.draw(st.floats(converter.min_input_voltage,
+                                   converter.max_input_voltage))
+    elif kind == "boost":
+        converter = cls()
+        v_in = data.draw(st.floats(converter.min_input_voltage, v_out))
+    elif kind == "ldo":
+        converter = cls(dropout_voltage=data.draw(st.floats(0.0, 0.5)))
+        v_in = data.draw(st.floats(v_out + converter.dropout_voltage, 25.0))
+    elif kind == "diode":
+        converter = cls(forward_drop=data.draw(st.floats(0.0, 0.7)))
+        v_in = data.draw(st.floats(converter.total_drop, 25.0,
+                                   exclude_min=True))
+    else:
+        converter = cls()
+        v_in = data.draw(st.floats(0.0, 25.0))
+    return converter, v_in, v_out
+
+
+class TestClosedFormInversion:
+    """Each library converter inverts its own curve in one expression,
+    and the three tiers' output stages agree on it bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(sorted(LOCKSTEP_CONVERTERS)),
+           p=st.floats(1e-12, 10.0), data=st.data())
+    def test_output_of_input_power_round_trips(self, kind, p, data):
+        converter, v_in, v_out = _inside_window(kind, data)
+        p_in = converter.input_power(p, v_in, v_out)
+        assert converter.output_power(p_in, v_in, v_out) == \
+            pytest.approx(p, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(sorted(LOCKSTEP_CONVERTERS)), data=st.data())
+    def test_tiers_agree_at_nan_and_edge_voltages(self, kind, data):
+        """A NaN store voltage is outside every library converter's
+        window (the ideal has none) on legacy, kernel and lockstep."""
+        cls, edges = LOCKSTEP_CONVERTERS[kind]
+        output = OutputConditioner(cls(), output_voltage=3.0)
+        voltages = [math.nan, 0.0, -0.0, output.min_input_voltage,
+                    *edges(output.converter, output.output_voltage)]
+        lanes = data.draw(st.lists(st.tuples(
+            st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 10.0)),
+            st.one_of(st.sampled_from(voltages), st.floats(-1.0, 25.0))),
+            min_size=1, max_size=6))
+        needed = output.lower_kernel(30.0).needed
+        siblings = [OutputConditioner(cls(), output_voltage=3.0)
+                    for _ in lanes]
+        demand, store_v = (np.array(column) for column in zip(*lanes))
+        with np.errstate(all="ignore"):
+            lockstep = output.lower_batched(30.0, siblings).needed(
+                demand, store_v)
+        for k, (d, v) in enumerate(lanes):
+            expected = output.input_power_for(d, v)
+            if math.isnan(v) and d != 0.0 and kind != "ideal":
+                assert expected == math.inf, (d, v)
+            assert needed(d, v).hex() == expected.hex(), (d, v)
+            assert float(lockstep[k]).hex() == expected.hex(), (d, v)
 
 
 class TestTrackerStep:

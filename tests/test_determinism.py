@@ -385,11 +385,3 @@ class TestFastPathEquivalence:
         assert simulate(system, env, dt=60.0).execution_path == "legacy"
         with pytest.raises(ValueError, match="fast must be"):
             simulate(system, env, dt=60.0, fast=True)
-
-    def test_fast_false_keeps_records(self):
-        env = outdoor_environment(duration=3600.0, dt=60.0, seed=1)
-        legacy = simulate(_mixed_system(), env, dt=60.0, fast=False)
-        assert len(legacy.recorder.records) == len(legacy.recorder)
-        fast = simulate(_mixed_system(), env, dt=60.0)
-        with pytest.raises(AttributeError, match="fast-path"):
-            fast.recorder.records

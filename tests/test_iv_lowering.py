@@ -2,16 +2,19 @@
 
 The hill-climb kernel closures and the fused codegen emission query a
 harvester through :meth:`~repro.harvesters.base.Harvester.lower_iv`,
-built once per step, and the Table I output stages invert an LDO through
-:meth:`~repro.conditioning.converters.LinearRegulator.lower_input_kernel`.
-These tests hold each lowering to the methods it replaces:
+built once per step. These tests hold each lowering to the methods it
+replaces:
 
 * every library Thevenin class and the PV cell: the closures equal the
   bound ``power_at``/``current_at`` bitwise and raise where they raise,
   across a retune of a resonant harvester between steps;
-* the LDO inversion equals ``input_power`` bitwise, ``inf`` included;
 * a subclass override, a user harvester and a wrapper installed on a
   library class get the bound methods, which keep every call.
+
+They also hold the Table I LDO output stage's closed-form
+``input_power`` to ``p_out / eff`` bitwise, ``inf`` included, and check
+that a subclass redefining the curve inverts it by the generic fixed
+point.
 
 Results are compared with ``float.hex``, so even the sign of a zero
 counts.
@@ -24,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.harvesters
-from repro.conditioning.converters import LinearRegulator
+from repro.conditioning.converters import Converter, LinearRegulator
 from repro.harvesters import (
     ElectromagneticHarvester,
     GenericACDCInput,
@@ -149,30 +152,40 @@ def test_negative_irradiance_raises_at_the_lowering():
        v_in=st.one_of(st.floats(-1.0, 8.0), st.sampled_from([0.0, 3.15])),
        v_out=st.one_of(st.sampled_from([1.8, 3.0]), st.floats(-1.0, 5.0)))
 def test_ldo_inversion_equals_input_power(dropout, p_out, v_in, v_out):
+    """``input_power`` is ``p_out / eff`` at the efficiency of any
+    positive input: the curve reads ``p_in`` only through ``p_in <= 0``."""
     ldo = LinearRegulator(dropout_voltage=dropout)
-    lowered = ldo.lower_input_kernel(30.0)
-    assert lowered != ldo.input_power
-    expected = ldo.input_power(p_out, v_in, v_out)
-    assert lowered(p_out, v_in, v_out).hex() == expected.hex()
+    eff = ldo.efficiency(1.0, v_in, v_out)
+    if p_out == 0.0:
+        expected = 0.0
+    elif eff <= 0.0:
+        expected = math.inf
+    else:
+        expected = p_out / eff
+    assert ldo.input_power(p_out, v_in, v_out).hex() == expected.hex()
 
 
 def test_ldo_inversion_refuses_like_input_power():
     ldo = LinearRegulator()
-    lowered = ldo.lower_input_kernel(30.0)
-    assert lowered(1e-3, 2.0, 3.0) == math.inf  # below dropout
+    assert ldo.input_power(1e-3, 2.0, 3.0) == math.inf  # below dropout
+    assert ldo.input_power(1e-3, math.nan, 3.0) == math.inf
     with pytest.raises(ValueError, match="p_out"):
-        lowered(-1.0, 3.3, 3.0)
-    assert math.isnan(lowered(math.nan, 3.3, 3.0))
+        ldo.input_power(-1.0, 3.3, 3.0)
+    assert ldo.input_power(0.0, 3.3, 3.0) == 0.0
     assert math.isnan(ldo.input_power(math.nan, 3.3, 3.0))
 
 
 def test_ldo_subclass_keeps_its_own_inversion():
+    """A subclass that redefines the curve inverts it by the generic
+    fixed point: the LDO's ``p_out / eff`` would miss by the sag."""
     class SaggingLDO(LinearRegulator):
         def efficiency(self, p_in, v_in, v_out):
             return 0.9 * super().efficiency(p_in, v_in, v_out)
 
     ldo = SaggingLDO()
-    assert ldo.lower_input_kernel(30.0) == ldo.input_power
+    assert type(ldo).input_power is Converter.input_power
+    p_in = ldo.input_power(1e-3, 4.0, 3.0)
+    assert ldo.output_power(p_in, 4.0, 3.0) == pytest.approx(1e-3, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exactness of the scalar kernel's conditioning memos.
+"""Exactness of the scalar kernel's channel memo.
 
 :meth:`~repro.conditioning.base.InputConditioner.lower_kernel` keeps one
 single-slot memo per channel, keyed on the harvester object, the ambient
@@ -6,9 +6,7 @@ value and the harvester's retune state. It holds ``max_power`` for every
 tracker, and the whole ``HarvestStep`` for the library's own
 ``FixedVoltage`` in front of a converter class that states how its
 forward stage reads ``v_out`` (Boost adds its step-up test to the key).
-:meth:`~repro.conditioning.converters.BuckBoostConverter.lower_input_kernel`
-memoizes the fixed-point inversion on the demand. These tests hold both
-memos to the methods they replace:
+These tests hold the memo to the methods it replaces:
 
 * a property check of each library converter behind ``FixedVoltage``
   over a PV cell, a TEG and a retuned piezo: the lowered step equals
@@ -20,8 +18,10 @@ memos to the methods they replace:
   ``v_out`` and a user harvester class keep every call;
 * a manager's ``swap_harvester`` at a held value, and a manager that
   retunes resonant harvesters every control pass, give the legacy bits;
-* the buck-boost inversion equals ``input_power`` over repeated demands
-  and window crossings.
+* the buck-boost's lockstep inversion, which keeps no demand memo,
+  equals its closed-form ``input_power`` over repeated demands, window
+  crossings and NaN bus voltages, and a subclass that redefines the
+  curve inverts it by the generic fixed point.
 
 Results are compared with ``float.hex``, so even the sign of a zero
 counts.
@@ -36,10 +36,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.experiments.common import make_reference_system
-from repro.conditioning import InputConditioner
+from repro.conditioning import InputConditioner, OutputConditioner
 from repro.conditioning.converters import (
     BoostConverter,
     BuckBoostConverter,
+    Converter,
     DiodeRectifier,
     IdealConverter,
     LinearRegulator,
@@ -55,6 +56,7 @@ from repro.harvesters import (
 )
 from repro.harvesters.base import TheveninHarvester
 from repro.simulation import simulate
+from repro.simulation.kernel.protocol import LoweringUnsupported
 from repro.simulation.recorder import SCALAR_COLUMNS
 from repro.systems import build_system
 
@@ -336,29 +338,43 @@ def test_retuned_piezo_gives_the_legacy_bits(letter):
 
 
 # ---------------------------------------------------------------------------
-# The buck-boost demand memo
+# The buck-boost inversion
 # ---------------------------------------------------------------------------
 @settings(max_examples=200, deadline=None)
 @given(pool=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
        data=st.data())
 def test_buck_boost_inversion_equals_input_power(pool, data):
-    """NaN bus voltages are left out: the closure's window test lets a
-    NaN ``v_in`` through to the fixed point, which ``efficiency``
-    refuses."""
+    """Call by call over repeated demands, the lockstep stage equals the
+    closed-form ``input_power``; a NaN bus voltage is outside the
+    window on both."""
     converter = BuckBoostConverter(min_input_voltage=2.0,
                                    max_input_voltage=4.0)
-    lowered = converter.lower_input_kernel(DT)
-    assert lowered != converter.input_power
+    stage = converter.lower_input_batched(DT, [converter])
     pool += [0.0, -0.0, 1e-300, math.nan, math.inf]
     calls = data.draw(st.lists(st.tuples(
         st.sampled_from(pool),
-        st.one_of(st.floats(0.0, 6.0), st.sampled_from([2.0, 4.0]))),
+        st.one_of(st.floats(0.0, 6.0),
+                  st.sampled_from([2.0, 4.0, math.nan]))),
         min_size=1, max_size=24))
     for p_out, v_in in calls:
-        assert lowered(p_out, v_in, 3.0).hex() == \
+        with np.errstate(all="ignore"):
+            lane = stage(np.array([p_out]), np.array([v_in]),
+                         np.array([3.0]))
+        assert float(lane[0]).hex() == \
             converter.input_power(p_out, v_in, 3.0).hex(), (p_out, v_in)
 
 
 def test_buck_boost_subclass_keeps_its_own_inversion():
+    """The subclass's curve reads ``v_out``, so it inverts by the
+    generic fixed point on the kernel as in legacy, and lockstep
+    refuses it."""
     converter = _VoutBuckBoost()
-    assert converter.lower_input_kernel(DT) == converter.input_power
+    assert type(converter).input_power is Converter.input_power
+    p_in = converter.input_power(1e-3, 3.0, 2.0)
+    assert converter.output_power(p_in, 3.0, 2.0) == \
+        pytest.approx(1e-3, rel=1e-6)
+    output = OutputConditioner(converter)
+    needed = output.lower_kernel(DT).needed
+    assert needed(1e-3, 3.0).hex() == output.input_power_for(1e-3, 3.0).hex()
+    with pytest.raises(LoweringUnsupported, match="_VoutBuckBoost"):
+        output.lower_batched(DT, [output])
